@@ -68,22 +68,23 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     OBS_COUNTER_ADD("block_cg.solves", 1);
     OBS_COUNTER_ADD("block_cg.iterations", res.iterations);
     if (obs::metrics_enabled()) {
-      // Roofline accumulators for obs::PerfLedger. Per iteration: two
-      // Gram matrices (2nm^2 flops each), two add_multiplied (2nm^2),
-      // the P update (multiply_in_place_right + axpy, 2nm^2 + 2nm),
-      // ~14nm doubles of traffic; plus the setup residual/Gram and the
-      // operator's own traffic model for every apply_block. The m^3
-      // Cholesky factors are negligible and uncounted.
+      // Roofline accumulators for obs::PerfLedger. Per iteration, four
+      // row passes besides the operator apply: P^T Q (reads P, Q;
+      // 2nm^2 flops), X += P alpha with R -= Q alpha (reads X, P, R, Q,
+      // writes X, R; 4nm^2), R^T R (reads R; one triangle, nm(m+1))
+      // and P = R + P beta (reads P, R, writes P; 2nm^2 + nm): 12nm
+      // doubles. Setup: the B norms, R = B - A X, R^T R and P = R, 7nm
+      // doubles. The m^3 Cholesky factors are negligible and uncounted.
       const double iters = static_cast<double>(res.iterations);
       const double applies = iters + 1.0;  // + initial residual
       const double nm = static_cast<double>(n) * static_cast<double>(m);
       const double md = static_cast<double>(m);
       OBS_COUNTER_ADD("block_cg.bytes",
                       applies * a.apply_bytes(m) +
-                          (14.0 * iters + 6.0) * nm * 8.0);
+                          (12.0 * iters + 7.0) * nm * 8.0);
       OBS_COUNTER_ADD("block_cg.flops",
                       applies * a.apply_flops(m) +
-                          ((10.0 * md + 2.0) * iters + 2.0 * md + 4.0) * nm);
+                          ((9.0 * md + 2.0) * iters + md + 6.0) * nm);
       OBS_COUNTER_ADD("block_cg.seconds", solve_timer.seconds());
     }
     if (res.status == SolveStatus::kBreakdown) {
@@ -167,13 +168,12 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     dense::Matrix alpha = rho;
     chol->solve_in_place(alpha);
 
-    add_multiplied(x, p, alpha);               // X += P alpha
-    // R -= Q alpha.
+    // X += P alpha and R -= Q alpha, one pass over the rows.
     dense::Matrix neg_alpha = alpha;
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < m; ++j) neg_alpha(i, j) = -alpha(i, j);
     }
-    add_multiplied(r, q, neg_alpha);
+    add_multiplied_pair(x, p, alpha, r, q, neg_alpha);
 
     dense::Matrix rho_next = gram(r, r);
     result.iterations = it + 1;
@@ -198,9 +198,8 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     }
     dense::Matrix beta = rho;
     chol_rho->solve_in_place(beta);
-    // P = R + P beta, in place (no large per-iteration allocation).
-    multiply_in_place_right(p, beta);
-    p.axpy(1.0, r);
+    // P = R + P beta, in place, one pass over the rows.
+    multiply_right_add(p, beta, r);
   }
   return record_exit(result);
 }

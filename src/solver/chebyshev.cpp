@@ -149,38 +149,69 @@ void ChebyshevSqrt::apply_block(const LinearOperator& a,
   const double scale = 1.0 / half_width;
   const double shift = center / half_width;
 
+  // One pass over the entries per degree step. Each entry keeps the
+  // operation order of the set_zero + axpy chain this replaces:
+  //   t = ((0 + a az) + b t_cur) + (-1) t_prev,   y = y + c t,
+  // so it rounds exactly as before (the leading 0 + keeps a -0 product
+  // at +0, as the zeroed buffer did).
   sparse::MultiVector t0 = z;
   sparse::MultiVector t1(n, m), t2(n, m), az(n, m);
+  const std::size_t total = n * m;
+  double* yv = y.data();
+  const double c0 = 0.5 * coeffs_[0];
 
-  y.set_zero();
-  y.axpy(0.5 * coeffs_[0], t0);
-  if (coeffs_.size() == 1) return;
+  if (coeffs_.size() == 1) {
+    const double* t0v = t0.data();
+#pragma omp simd
+    for (std::size_t i = 0; i < total; ++i) yv[i] = 0.0 + c0 * t0v[i];
+    return;
+  }
 
   a.apply_block(t0, az);
-  t1.set_zero();
-  t1.axpy(scale, az);
-  t1.axpy(-shift, t0);
-  y.axpy(coeffs_[1], t1);
+  {
+    // t1 = scale az - shift t0;  y = 0.5 c_0 t0 + c_1 t1.
+    const double* azv = az.data();
+    const double* t0v = t0.data();
+    double* t1v = t1.data();
+    const double b = -shift;
+    const double c1 = coeffs_[1];
+#pragma omp simd
+    for (std::size_t i = 0; i < total; ++i) {
+      const double t = (0.0 + scale * azv[i]) + b * t0v[i];
+      t1v[i] = t;
+      yv[i] = (0.0 + c0 * t0v[i]) + c1 * t;
+    }
+  }
 
   for (std::size_t k = 2; k < coeffs_.size(); ++k) {
     a.apply_block(t1, az);
-    // t2 = 2 (scale az - shift t1) - t0.
-    t2.set_zero();
-    t2.axpy(2.0 * scale, az);
-    t2.axpy(-2.0 * shift, t1);
-    t2.axpy(-1.0, t0);
-    y.axpy(coeffs_[k], t2);
+    // t2 = 2 (scale az - shift t1) - t0;  y += c_k t2.
+    const double* azv = az.data();
+    const double* t1v = t1.data();
+    const double* t0v = t0.data();
+    double* t2v = t2.data();
+    const double a2 = 2.0 * scale;
+    const double b2 = -2.0 * shift;
+    const double ck = coeffs_[k];
+#pragma omp simd
+    for (std::size_t i = 0; i < total; ++i) {
+      const double t = ((0.0 + a2 * azv[i]) + b2 * t1v[i]) + (-1.0) * t0v[i];
+      t2v[i] = t;
+      yv[i] = yv[i] + ck * t;
+    }
     std::swap(t0, t1);
     std::swap(t1, t2);
   }
   if (obs::metrics_enabled()) {
-    // Block path pays extra traffic for the unfused set_zero + axpy
-    // chain: ~8nm flops / ~13nm doubles per degree step (estimate),
-    // plus the operator's own traffic model per block apply.
+    // One fused pass per degree step, ~8nm flops: later steps read
+    // az, t_cur, t_prev and y and write t_next and y (6nm doubles); the
+    // first reads az and t0 and writes t1 and y, and the copy of z
+    // adds 2nm, so the block algebra moves 6nm doubles per step. Plus
+    // the operator's own traffic model per block apply.
     const double order = static_cast<double>(coeffs_.size() - 1);
     const double nm = static_cast<double>(n) * static_cast<double>(m);
     OBS_COUNTER_ADD("chebyshev.bytes",
-                    order * a.apply_bytes(m) + (13.0 * order + 7.0) * nm * 8.0);
+                    order * a.apply_bytes(m) + 6.0 * order * nm * 8.0);
     OBS_COUNTER_ADD("chebyshev.flops",
                     order * a.apply_flops(m) + (8.0 * order + 2.0) * nm);
     OBS_COUNTER_ADD("chebyshev.seconds", apply_timer.seconds());

@@ -78,16 +78,47 @@ class MultiVector {
   util::NoInitAlignedVector<double> data_;
 };
 
+// Tall-skinny block algebra. Contract: every output entry is one
+// sequential chain of multiply-adds in a fixed order (over rows in row
+// order for a Gram entry, over p for a row of X * S), whatever the
+// kernel width. For m in {4, 8, 12, 16, 24, 32} the kernels below are
+// specialised on m at compile time and keep their accumulators in
+// registers; other m run the `generic` loops. Both produce the same
+// doubles in a given build.
+
 /// Gram matrix G = A^T B (m-by-m) of two equal-shaped multivectors.
+/// gram(a, a) computes one triangle and mirrors it (fma(x, y, c) ==
+/// fma(y, x, c), so the mirror is the entry the other triangle would
+/// have computed).
 dense::Matrix gram(const MultiVector& a, const MultiVector& b);
 
 /// Y += X * S where S is cols-by-cols (small). Row-major friendly:
-/// every row of Y gets row(X) * S.
+/// every row of Y gets row(X) * S. Y and X must be distinct.
 void add_multiplied(MultiVector& y, const MultiVector& x,
                     const dense::Matrix& s);
 
-/// X = X * S in place (S square, cols-by-cols).
-void multiply_in_place_right(MultiVector& x, const dense::Matrix& s);
+/// Y1 += X1 * S1 and Y2 += X2 * S2 in one pass over the rows (block
+/// CG's X += P alpha, R -= Q alpha). Bitwise equal to the two
+/// add_multiplied calls.
+void add_multiplied_pair(MultiVector& y1, const MultiVector& x1,
+                         const dense::Matrix& s1, MultiVector& y2,
+                         const MultiVector& x2, const dense::Matrix& s2);
+
+/// X = X * S + R in place (S square, cols-by-cols; block CG's
+/// P = R + P beta). Each entry is the chain over p of X * S, then one
+/// add of R.
+void multiply_right_add(MultiVector& x, const dense::Matrix& s,
+                        const MultiVector& r);
+
+/// The runtime-m loops: the kernels for m without a specialisation,
+/// and the reference the specialised kernels are tested against.
+namespace generic {
+dense::Matrix gram(const MultiVector& a, const MultiVector& b);
+void add_multiplied(MultiVector& y, const MultiVector& x,
+                    const dense::Matrix& s);
+void multiply_right_add(MultiVector& x, const dense::Matrix& s,
+                        const MultiVector& r);
+}  // namespace generic
 
 /// Y = beta * Y + alpha * X  elementwise.
 void axpby(double alpha, const MultiVector& x, double beta, MultiVector& y);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/mrhs_model.hpp"
@@ -134,6 +135,30 @@ TEST(Stepper, StepsDoNotCauseDeepOverlaps) {
   mrhs.run(6);
   EXPECT_GT(sim.system().min_gap_bruteforce(),
             -0.01 * sim.mean_radius());
+}
+
+TEST(Stepper, MrhsTrajectoryIndependentOfThreadCount) {
+  // The kernels' reductions run in a fixed order whatever the thread
+  // count, so two MRHS chunks land on the same position bits at 1, 2
+  // and 4 threads. A reduction made parallel must keep this.
+  auto final_positions = [](int threads) {
+    auto config = small_config(100, 0.4, 23);
+    config.threads = threads;
+    core::SdSimulation sim(config);
+    core::MrhsAlgorithm mrhs(sim, {.rhs = 8});
+    mrhs.run(16);
+    const auto pos = sim.system().positions();
+    return std::vector<sd::Vec3>(pos.begin(), pos.end());
+  };
+  const auto one = final_positions(1);
+  for (const int threads : {2, 4}) {
+    const auto many = final_positions(threads);
+    ASSERT_EQ(many.size(), one.size());
+    EXPECT_EQ(std::memcmp(many.data(), one.data(),
+                          one.size() * sizeof(sd::Vec3)),
+              0)
+        << "threads=" << threads;
+  }
 }
 
 TEST(Stepper, TrajectoriesStatisticallyEquivalent) {

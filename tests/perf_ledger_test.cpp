@@ -14,7 +14,9 @@
 #include "obs/bench_report.hpp"
 #include "obs/obs.hpp"
 #include "obs/perf_ledger.hpp"
+#include "solver/block_cg.hpp"
 #include "solver/cg.hpp"
+#include "solver/chebyshev.hpp"
 #include "solver/operator.hpp"
 #include "sparse/bcrs.hpp"
 #include "sparse/gspmv.hpp"
@@ -118,6 +120,59 @@ TEST_F(PerfLedgerTest, CgFamilyMatchesDocumentedFormula) {
                    applies * op.apply_flops(1) + (10.0 * iters + 4.0) * nd);
   EXPECT_EQ(cg->calls, 1.0);  // falls back to cg.solves
   EXPECT_GT(cg->seconds, 0.0);
+}
+
+TEST_F(PerfLedgerTest, BlockCgFamilyMatchesFusedPassModel) {
+  // Per iteration: P^T Q, the fused X += P alpha / R -= Q alpha pass,
+  // one triangle of R^T R and P = R + P beta (12nm doubles); setup 7nm.
+  const auto a = sparse::make_random_bcrs(60, 8.0, 3);
+  const solver::BcrsOperator op(a, 1);
+  const std::size_t m = 4;
+  sparse::MultiVector b(op.size(), m), x(op.size(), m);
+  util::StreamRng rng(8);
+  b.fill_normal(rng);
+
+  obs::PerfLedger ledger;
+  ledger.begin();
+  const auto res = solver::block_conjugate_gradient(op, b, x);
+  const auto report = ledger.collect();
+
+  const auto* bcg = find(report, "block_cg");
+  ASSERT_NE(bcg, nullptr);
+  ASSERT_GT(res.iterations, 0u);
+  const double iters = static_cast<double>(res.iterations);
+  const double applies = iters + 1.0;
+  const double md = static_cast<double>(m);
+  const double nm = static_cast<double>(op.size()) * md;
+  EXPECT_DOUBLE_EQ(bcg->bytes, applies * op.apply_bytes(m) +
+                                   (12.0 * iters + 7.0) * nm * 8.0);
+  EXPECT_DOUBLE_EQ(bcg->flops,
+                   applies * op.apply_flops(m) +
+                       ((9.0 * md + 2.0) * iters + md + 6.0) * nm);
+}
+
+TEST_F(PerfLedgerTest, BlockChebyshevMatchesFusedPassModel) {
+  // One fused pass per degree step: 6nm doubles of block algebra.
+  const auto a = sparse::make_random_bcrs(60, 8.0, 3);
+  const solver::BcrsOperator op(a, 1);
+  const std::size_t m = 4;
+  const std::size_t order = 12;
+  sparse::MultiVector z(op.size(), m), y(op.size(), m);
+  util::StreamRng rng(9);
+  z.fill_normal(rng);
+  const solver::ChebyshevSqrt cheb({0.5, 40.0}, order);
+
+  obs::PerfLedger ledger;
+  ledger.begin();
+  cheb.apply_block(op, z, y);
+  const auto report = ledger.collect();
+
+  const auto* ch = find(report, "chebyshev");
+  ASSERT_NE(ch, nullptr);
+  const double od = static_cast<double>(order);
+  const double nm = static_cast<double>(op.size()) * static_cast<double>(m);
+  EXPECT_DOUBLE_EQ(ch->bytes, od * op.apply_bytes(m) + 6.0 * od * nm * 8.0);
+  EXPECT_DOUBLE_EQ(ch->flops, od * op.apply_flops(m) + (8.0 * od + 2.0) * nm);
 }
 
 TEST_F(PerfLedgerTest, RooflineAttributionBandwidthBound) {

@@ -2,9 +2,14 @@
 // MultiVector operations, partitioning.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dense/matrix.hpp"
+#include "solver/chebyshev.hpp"
+#include "solver/operator.hpp"
 #include "sparse/bcrs.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/multivector.hpp"
@@ -211,10 +216,184 @@ TEST(MultiVector, AddMultipliedAndInPlaceRight) {
   sparse::MultiVector y1(10, 3);
   sparse::add_multiplied(y1, x, s);  // y1 = X S
   sparse::MultiVector y2 = x;
-  sparse::multiply_in_place_right(y2, s);  // y2 = X S
+  const sparse::MultiVector zero(10, 3);
+  sparse::multiply_right_add(y2, s, zero);  // y2 = X S + 0
   for (std::size_t i = 0; i < 10; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_NEAR(y1(i, j), y2(i, j), 1e-13);
+    }
+  }
+}
+
+// The block kernels specialised on m must produce the same doubles as
+// the runtime-m loops of the same build, for every m (specialised or
+// not) and for row counts that do and do not fill a vector.
+/// Equal shapes and equal doubles, bit for bit (MultiVector or Matrix).
+template <class Block>
+bool same_bits(const Block& a, const Block& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+dense::Matrix random_square(std::size_t m, util::StreamRng& rng) {
+  dense::Matrix s(m, m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j) s(i, j) = rng.normal();
+  return s;
+}
+
+sparse::MultiVector random_block(std::size_t n, std::size_t m,
+                                 util::StreamRng& rng) {
+  sparse::MultiVector x(n, m);
+  x.fill_normal(rng);
+  return x;
+}
+
+constexpr std::size_t kKernelRows[] = {1, 7, 1500};
+
+TEST(MultiVectorKernels, GramMatchesGenericLoop) {
+  util::StreamRng rng(21);
+  for (const std::size_t n : kKernelRows) {
+    for (std::size_t m = 1; m <= 33; ++m) {
+      const auto a = random_block(n, m, rng);
+      const auto b = random_block(n, m, rng);
+      EXPECT_TRUE(same_bits(sparse::gram(a, b), sparse::generic::gram(a, b)))
+          << "n=" << n << " m=" << m;
+      const auto g = sparse::gram(a, a);
+      EXPECT_TRUE(same_bits(g, sparse::generic::gram(a, a)))
+          << "symmetric n=" << n << " m=" << m;
+      EXPECT_EQ(g.asymmetry(), 0.0);
+    }
+  }
+}
+
+TEST(MultiVectorKernels, AddMultipliedMatchesGenericLoop) {
+  util::StreamRng rng(22);
+  for (const std::size_t n : kKernelRows) {
+    for (std::size_t m = 1; m <= 33; ++m) {
+      const auto x = random_block(n, m, rng);
+      const auto s = random_square(m, rng);
+      auto y = random_block(n, m, rng);
+      auto y_ref = y;
+      sparse::add_multiplied(y, x, s);
+      sparse::generic::add_multiplied(y_ref, x, s);
+      EXPECT_TRUE(same_bits(y, y_ref)) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(MultiVectorKernels, AddMultipliedPairMatchesTwoGenericLoops) {
+  util::StreamRng rng(23);
+  for (const std::size_t n : kKernelRows) {
+    for (std::size_t m = 1; m <= 33; ++m) {
+      const auto p = random_block(n, m, rng);
+      const auto q = random_block(n, m, rng);
+      const auto alpha = random_square(m, rng);
+      const auto neg = random_square(m, rng);
+      auto x = random_block(n, m, rng);
+      auto r = random_block(n, m, rng);
+      auto x_ref = x;
+      auto r_ref = r;
+      sparse::add_multiplied_pair(x, p, alpha, r, q, neg);
+      sparse::generic::add_multiplied(x_ref, p, alpha);
+      sparse::generic::add_multiplied(r_ref, q, neg);
+      EXPECT_TRUE(same_bits(x, x_ref)) << "n=" << n << " m=" << m;
+      EXPECT_TRUE(same_bits(r, r_ref)) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(MultiVectorKernels, MultiplyRightAddMatchesGenericLoop) {
+  util::StreamRng rng(24);
+  for (const std::size_t n : kKernelRows) {
+    for (std::size_t m = 1; m <= 33; ++m) {
+      const auto r = random_block(n, m, rng);
+      const auto beta = random_square(m, rng);
+      auto p = random_block(n, m, rng);
+      auto p_ref = p;
+      sparse::multiply_right_add(p, beta, r);
+      sparse::generic::multiply_right_add(p_ref, beta, r);
+      EXPECT_TRUE(same_bits(p, p_ref)) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+/// Y = D X for a fixed positive diagonal D: enough operator for the
+/// Chebyshev recurrence, at any n.
+class DiagonalOperator final : public solver::LinearOperator {
+ public:
+  explicit DiagonalOperator(std::size_t n) : d_(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      d_[i] = 1.0 + 9.0 * static_cast<double>(i % 13) / 12.0;
+    }
+  }
+  [[nodiscard]] std::size_t size() const override { return d_.size(); }
+  void apply(std::span<const double> x, std::span<double> y) const override {
+    for (std::size_t i = 0; i < d_.size(); ++i) y[i] = d_[i] * x[i];
+  }
+  void apply_block(const sparse::MultiVector& x,
+                   sparse::MultiVector& y) const override {
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t j = 0; j < x.cols(); ++j) y(i, j) = d_[i] * x(i, j);
+    }
+  }
+
+ private:
+  std::vector<double> d_;
+};
+
+/// The block Chebyshev recurrence as a chain of whole-block set_zero +
+/// axpy calls: the reference the fused single-pass recurrence of
+/// ChebyshevSqrt::apply_block must match bit for bit.
+void chebyshev_axpy_chain(const solver::ChebyshevSqrt& cheb,
+                          const solver::LinearOperator& a,
+                          const sparse::MultiVector& z,
+                          sparse::MultiVector& y) {
+  const auto& c = cheb.coefficients();
+  const auto bounds = cheb.bounds();
+  const double half_width = 0.5 * (bounds.lambda_max - bounds.lambda_min);
+  const double center = 0.5 * (bounds.lambda_max + bounds.lambda_min);
+  const double scale = 1.0 / half_width;
+  const double shift = center / half_width;
+  const std::size_t n = z.rows();
+  const std::size_t m = z.cols();
+  sparse::MultiVector t0 = z;
+  sparse::MultiVector t1(n, m), t2(n, m), az(n, m);
+  y.set_zero();
+  y.axpy(0.5 * c[0], t0);
+  if (c.size() == 1) return;
+  a.apply_block(t0, az);
+  t1.set_zero();
+  t1.axpy(scale, az);
+  t1.axpy(-shift, t0);
+  y.axpy(c[1], t1);
+  for (std::size_t k = 2; k < c.size(); ++k) {
+    a.apply_block(t1, az);
+    t2.set_zero();
+    t2.axpy(2.0 * scale, az);
+    t2.axpy(-2.0 * shift, t1);
+    t2.axpy(-1.0, t0);
+    y.axpy(c[k], t2);
+    std::swap(t0, t1);
+    std::swap(t1, t2);
+  }
+}
+
+TEST(MultiVectorKernels, FusedChebyshevRecurrenceMatchesAxpyChain) {
+  util::StreamRng rng(25);
+  for (const std::size_t n : kKernelRows) {
+    const DiagonalOperator op(n);
+    for (const std::size_t order : {0u, 1u, 2u, 9u}) {
+      const solver::ChebyshevSqrt cheb({1.0, 10.0}, order);
+      for (std::size_t m = 1; m <= 33; ++m) {
+        const auto z = random_block(n, m, rng);
+        sparse::MultiVector y(n, m), y_ref(n, m);
+        cheb.apply_block(op, z, y);
+        chebyshev_axpy_chain(cheb, op, z, y_ref);
+        EXPECT_TRUE(same_bits(y, y_ref))
+            << "n=" << n << " order=" << order << " m=" << m;
+      }
     }
   }
 }
