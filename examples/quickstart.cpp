@@ -259,6 +259,16 @@ int main(int argc, char** argv) {
               "pairs recomputed %zu, blocks reused %zu\n",
               engine.tolerance(), engine.pattern_rebuilds(),
               engine.pairs_dirty_total(), engine.blocks_reused_total());
+  if (engine.pattern_rebuilds() > 0) {
+    // Examined = n(n-1)/2 means the all-pairs regime (box narrower
+    // than 9/4 of the lubrication cutoff); fewer, the cell grid.
+    const auto searches = static_cast<double>(engine.pattern_rebuilds());
+    std::printf("neighbour search: pairs examined %.0f, pairs in cutoff "
+                "%.0f (per search, %zu searches)\n",
+                static_cast<double>(engine.pairs_examined_total()) / searches,
+                static_cast<double>(engine.pairs_in_cutoff_total()) / searches,
+                static_cast<std::size_t>(engine.pattern_rebuilds()));
+  }
   std::printf("\nphase breakdown (s/step):\n");
   for (const auto& name : stats.timers.names()) {
     std::printf("  %-14s %.4f\n", name.c_str(),

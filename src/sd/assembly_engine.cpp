@@ -9,6 +9,7 @@
 #include "sd/cell_list.hpp"
 #include "sd/effective_viscosity.hpp"
 #include "sd/lubrication.hpp"
+#include "sd/pair_pattern.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
 
@@ -37,9 +38,13 @@ AssemblyResult AssemblyEngine::assemble_full(const ParticleSystem& system) {
   pairs_.clear();
   ++epoch_;
   ++rebuilds_total_;
+  examined_total_ += result.stats.pairs_examined;
+  in_cutoff_total_ += result.stats.pairs_in_cutoff;
   dirty_total_ += result.stats.pairs_dirty;
   result.stats.pattern_epoch = epoch_;
   OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
+  OBS_COUNTER_ADD("assembly.pairs_examined",
+                  static_cast<std::int64_t>(result.stats.pairs_examined));
   OBS_COUNTER_ADD("assembly.pairs_dirty",
                   static_cast<std::int64_t>(result.stats.pairs_dirty));
   return result;
@@ -57,6 +62,8 @@ AssemblyResult AssemblyEngine::assemble_incremental(
   if (!has_pattern_ || pattern_expired(system)) {
     rebuild_pattern(system, result.stats);
     OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
+    OBS_COUNTER_ADD("assembly.pairs_examined",
+                    static_cast<std::int64_t>(result.stats.pairs_examined));
   } else {
     refresh_dirty_pairs(system, result.stats);
   }
@@ -118,14 +125,13 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
   const auto pos = system.positions();
 
   // Pass 1: enumerate pairs with the skin-widened reach, compute each
-  // tensor at the current (= reference) configuration, count degrees.
+  // tensor at the current (= reference) configuration.
   const double cutoff =
       lubrication_cutoff_distance(system.max_radius(), params_.lubrication) +
       skin_;
   const CellList cells(system, cutoff);
   pairs_.clear();
-  std::vector<std::int64_t> row_ptr(n + 1, 0);
-  cells.for_each_interacting_pair(
+  stats.pairs_examined = cells.for_each_interacting_pair(
       params_.lubrication.max_gap_scaled, skin_, [&](const Pair& p) {
         PairSlot rec{};
         rec.i = static_cast<std::int32_t>(p.i);
@@ -133,8 +139,6 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
         rec.ref_i = pos[p.i];
         rec.ref_j = pos[p.j];
         pairs_.push_back(rec);
-        ++row_ptr[p.i + 1];
-        ++row_ptr[p.j + 1];
       });
   double min_gap = std::numeric_limits<double>::infinity();
   for (PairSlot& p : pairs_) {
@@ -153,78 +157,27 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
   // block per incident pattern pair; rows are column-sorted, and each
   // pair records where its two off-diagonal blocks landed so value
   // refills never search.
-  for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] += 1 + row_ptr[i];
-  const std::size_t nnzb = static_cast<std::size_t>(row_ptr[n]);
-  std::vector<std::int32_t> col_idx(nnzb);
-  // slot -> owning pair and side (2k for (i,j), 2k+1 for (j,i)); -1
-  // marks a diagonal slot.
-  std::vector<std::int64_t> slot_tag(nnzb, -1);
-  std::vector<std::int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    col_idx[static_cast<std::size_t>(cursor[i])] =
-        static_cast<std::int32_t>(i);
-    ++cursor[i];
-  }
-  for (std::size_t k = 0; k < pairs_.size(); ++k) {
-    const PairSlot& p = pairs_[k];
-    const auto slot_ij = static_cast<std::size_t>(cursor[p.i]++);
-    const auto slot_ji = static_cast<std::size_t>(cursor[p.j]++);
-    col_idx[slot_ij] = p.j;
-    col_idx[slot_ji] = p.i;
-    slot_tag[slot_ij] = static_cast<std::int64_t>(2 * k);
-    slot_tag[slot_ji] = static_cast<std::int64_t>(2 * k + 1);
-  }
-  std::vector<std::size_t> order;
-  std::vector<std::int32_t> cols_tmp;
-  std::vector<std::int64_t> tags_tmp;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto lo = static_cast<std::size_t>(row_ptr[i]);
-    const auto hi = static_cast<std::size_t>(row_ptr[i + 1]);
-    const std::size_t len = hi - lo;
-    if (len > 1) {
-      order.resize(len);
-      for (std::size_t k = 0; k < len; ++k) order[k] = k;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return col_idx[lo + a] < col_idx[lo + b];
-                });
-      cols_tmp.resize(len);
-      tags_tmp.resize(len);
-      for (std::size_t k = 0; k < len; ++k) {
-        cols_tmp[k] = col_idx[lo + order[k]];
-        tags_tmp[k] = slot_tag[lo + order[k]];
-      }
-      std::copy(cols_tmp.begin(), cols_tmp.end(), col_idx.begin() +
-                                                      static_cast<std::ptrdiff_t>(lo));
-      std::copy(tags_tmp.begin(), tags_tmp.end(), slot_tag.begin() +
-                                                      static_cast<std::ptrdiff_t>(lo));
-    }
-  }
-  diag_slot_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto s = static_cast<std::size_t>(row_ptr[i]);
-         s < static_cast<std::size_t>(row_ptr[i + 1]); ++s) {
-      const std::int64_t tag = slot_tag[s];
-      if (tag < 0) {
-        diag_slot_[i] = static_cast<std::int64_t>(s);
-      } else if ((tag & 1) == 0) {
-        pairs_[static_cast<std::size_t>(tag / 2)].slot_ij =
-            static_cast<std::int64_t>(s);
-      } else {
-        pairs_[static_cast<std::size_t>(tag / 2)].slot_ji =
-            static_cast<std::int64_t>(s);
-      }
-    }
-  }
+  PairPattern layout;
+  layout.build(n, pairs_);
+  layout.for_each_pair_slots(
+      pairs_, [&](std::size_t k, std::int64_t slot_ij, std::int64_t slot_ji) {
+        pairs_[k].slot_ij = slot_ij;
+        pairs_[k].slot_ji = slot_ji;
+      });
+  diag_slot_ = std::move(layout.diag_slot);
+  const std::size_t nnzb = layout.col_idx.size();
 
   pattern_refs_.assign(pos.begin(), pos.end());
   util::NoInitAlignedVector<double> fresh_values(nnzb * sparse::kBlockSize);
   util::first_touch_zero(fresh_values.data(), fresh_values.size());
-  cached_ = sparse::BcrsMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+  cached_ = sparse::BcrsMatrix(n, n, std::move(layout.row_ptr),
+                               std::move(layout.col_idx),
                                std::move(fresh_values));
   has_pattern_ = true;
   ++epoch_;
   ++rebuilds_total_;
+  examined_total_ += stats.pairs_examined;
+  in_cutoff_total_ += stats.pairs_in_cutoff;
 }
 
 void AssemblyEngine::refresh_dirty_pairs(const ParticleSystem& system,

@@ -108,6 +108,16 @@ class AssemblyEngine {
   [[nodiscard]] std::uint64_t blocks_reused_total() const {
     return reused_total_;
   }
+  /// Neighbour-search totals over the pattern_rebuilds() searches:
+  /// candidate pairs tested (assembly.pairs_examined) and pairs found
+  /// within reach. Examined over rebuilds reads n(n-1)/2 when the box
+  /// is too narrow for a cell grid.
+  [[nodiscard]] std::uint64_t pairs_examined_total() const {
+    return examined_total_;
+  }
+  [[nodiscard]] std::uint64_t pairs_in_cutoff_total() const {
+    return in_cutoff_total_;
+  }
 
   /// Reference path: rebuild R from scratch at the current
   /// configuration (legacy full assembly). Discards any cached
@@ -147,8 +157,8 @@ class AssemblyEngine {
 
   /// Re-enumerate pairs with the skin-widened reach and lay out the
   /// BCRS pattern (diagonal + both off-diagonal slots per pair,
-  /// columns sorted). Computes fresh tensors for every pair and bumps
-  /// the epoch.
+  /// columns sorted; see PairPattern). Computes fresh tensors for
+  /// every pair and bumps the epoch.
   void rebuild_pattern(const ParticleSystem& system, AssemblyStats& stats);
   /// True when some particle drifted more than skin/2 since the
   /// pattern was built (a pair outside the pattern could become
@@ -183,6 +193,8 @@ class AssemblyEngine {
   std::uint64_t rebuilds_total_ = 0;
   std::uint64_t dirty_total_ = 0;
   std::uint64_t reused_total_ = 0;
+  std::uint64_t examined_total_ = 0;
+  std::uint64_t in_cutoff_total_ = 0;
 };
 
 }  // namespace mrhs::sd

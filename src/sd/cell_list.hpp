@@ -1,12 +1,14 @@
 // Linked-cell neighbor search under periodic boundary conditions.
 //
 // Stokesian dynamics rebuilds the lubrication pair list every (half)
-// step; the cell list makes that O(n) for bounded density. Cells are
-// finer than the cutoff (with a matching multi-cell stencil), and each
-// cell records the largest radius it holds: polydisperse systems —
-// whose conservative cutoff is set by the largest particle pair — then
-// prune almost all far cell pairs instead of degenerating into an
-// all-pairs scan.
+// step. The cell list makes that O(n) for bounded density once the box
+// is at least 9/4 of the cutoff wide. Cells are finer than the cutoff
+// (with a matching multi-cell stencil), and each cell records the
+// largest radius it holds: polydisperse systems, whose conservative
+// cutoff is set by the largest particle pair, then prune almost all
+// far cell pairs. In a narrower box the grid degenerates to one cell
+// and the search tests all n(n-1)/2 pairs; for_each_interacting_pair
+// then runs a vectorised reach filter ahead of the exact scalar test.
 #pragma once
 
 #include <algorithm>
@@ -47,16 +49,22 @@ class CellList {
 
   /// Enumerate only *overlapping* pairs (distance < a_i + a_j). Cell
   /// pairs that no contained radii could bridge are pruned wholesale;
-  /// this is the packer's hot loop.
+  /// this is the packer's hot loop. It keeps the scalar all-pairs
+  /// loop of one-cell grids: the packer's callback moves particles in
+  /// the middle of a row, which a filter pass run ahead of the row
+  /// would not see.
   template <class Fn>
   void for_each_overlapping_pair(Fn&& fn) const;
 
   /// Enumerate only pairs with surface gap below
   /// `max_gap_scaled * (a_i + a_j)/2` — the lubrication activity
   /// criterion. Cell-level and pair-level tests both run on squared
-  /// distances; this is the resistance assembler's hot loop.
+  /// distances; this is the resistance assembler's hot loop. Returns
+  /// the number of candidate pairs tested, n(n-1)/2 when
+  /// cells_per_side() == 1.
   template <class Fn>
-  void for_each_interacting_pair(double max_gap_scaled, Fn&& fn) const;
+  std::size_t for_each_interacting_pair(double max_gap_scaled,
+                                        Fn&& fn) const;
 
   /// Same activity criterion widened by an absolute `extra_reach`
   /// (a Verlet skin): pairs within `touch * reach_factor + extra_reach`
@@ -64,9 +72,15 @@ class CellList {
   /// pattern with this overload, so pairs can *become* active without
   /// a pattern rebuild as long as no particle drifts more than
   /// extra_reach/2. The CellList cutoff must cover the widened reach.
+  ///
+  /// With one cell per side the pairs come in (i, j) order, ascending
+  /// j within ascending i, as from the cell-list-free double loop. A
+  /// vectorised pass per row first drops every j that is provably out
+  /// of reach; the survivors get the same scalar test, so the emitted
+  /// Pair sequence is bitwise that of the plain double loop.
   template <class Fn>
-  void for_each_interacting_pair(double max_gap_scaled, double extra_reach,
-                                 Fn&& fn) const;
+  std::size_t for_each_interacting_pair(double max_gap_scaled,
+                                        double extra_reach, Fn&& fn) const;
 
   /// Materialized pair list (sorted by (i, j) for determinism).
   [[nodiscard]] std::vector<Pair> pairs() const;
@@ -79,6 +93,12 @@ class CellList {
   template <class Fn>
   void for_each_pair_impl(double reach_factor, double extra_reach,
                           Fn&& fn) const;
+
+  /// All-pairs walk for cells_per_side() == 1: calls `confirm(i, j)`
+  /// for a superset of the pairs within reach, in (i, j) order.
+  template <class Fn>
+  void for_each_candidate_in_reach(double reach_factor, double extra_reach,
+                                   Fn&& confirm) const;
 
   template <class Fn>
   void emit(std::size_t i, std::size_t j, Fn&& fn) const;
@@ -171,33 +191,101 @@ void CellList::for_each_pair(Fn&& fn) const {
 }
 
 template <class Fn>
-void CellList::for_each_interacting_pair(double max_gap_scaled,
-                                         Fn&& fn) const {
-  for_each_interacting_pair(max_gap_scaled, 0.0, fn);
+void CellList::for_each_candidate_in_reach(double reach_factor,
+                                           double extra_reach,
+                                           Fn&& confirm) const {
+  const std::size_t n = system_->size();
+  const Vec3* pos = system_->positions().data();
+  const double* radii = system_->radii().data();
+  const double len = system_->box().length();
+  const double half = 0.5 * len;
+  // The filter's squared distance may round differently from the
+  // scalar test's (other contraction into FMAs), so its squared reach
+  // is widened by a relative margin far above that rounding: a pair
+  // the scalar test accepts is never dropped.
+  constexpr double kReachMargin = 1.0 + 1e-9;
+  // Candidates are marked a chunk of j at a time into a stack buffer,
+  // then confirmed in ascending j: no allocation per call.
+  constexpr std::size_t kChunk = 256;
+  unsigned char kept[kChunk];
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const double xi = pos[i].x;
+    const double yi = pos[i].y;
+    const double zi = pos[i].z;
+    const double ri = radii[i];
+    for (std::size_t j0 = i + 1; j0 < n; j0 += kChunk) {
+      const std::size_t count = std::min(kChunk, n - j0);
+      const Vec3* pj = pos + j0;
+      const double* rj = radii + j0;
+#pragma omp simd
+      for (std::size_t k = 0; k < count; ++k) {
+        // PeriodicBox::min_image's single-shift fast path.
+        double dx = xi - pj[k].x;
+        double dy = yi - pj[k].y;
+        double dz = zi - pj[k].z;
+        dx = dx > half ? dx - len : dx;
+        dx = dx < -half ? dx + len : dx;
+        dy = dy > half ? dy - len : dy;
+        dy = dy < -half ? dy + len : dy;
+        dz = dz > half ? dz - len : dz;
+        dz = dz < -half ? dz + len : dz;
+        const double reach = (ri + rj[k]) * reach_factor + extra_reach;
+        // Keep unless provably out of reach: a displacement the single
+        // shift left outside the box goes to min_image's general
+        // reduction, and a NaN fails every comparison.
+        const bool unwrapped = (std::abs(dx) > half) |
+                               (std::abs(dy) > half) | (std::abs(dz) > half);
+        const bool out = dx * dx + dy * dy + dz * dz >=
+                         reach * reach * kReachMargin;
+        kept[k] = static_cast<unsigned char>(unwrapped | !out);
+      }
+      for (std::size_t k = 0; k < count; ++k) {
+        if (kept[k] != 0) confirm(i, j0 + k);
+      }
+    }
+  }
 }
 
 template <class Fn>
-void CellList::for_each_interacting_pair(double max_gap_scaled,
-                                         double extra_reach, Fn&& fn) const {
+std::size_t CellList::for_each_interacting_pair(double max_gap_scaled,
+                                                Fn&& fn) const {
+  return for_each_interacting_pair(max_gap_scaled, 0.0, fn);
+}
+
+template <class Fn>
+std::size_t CellList::for_each_interacting_pair(double max_gap_scaled,
+                                                double extra_reach,
+                                                Fn&& fn) const {
   const auto pos = system_->positions();
   const auto radii = system_->radii();
   const auto& box = system_->box();
   const double reach_factor = 1.0 + 0.5 * max_gap_scaled;
-  for_each_pair_impl(
-      reach_factor, extra_reach, [&](std::size_t i, std::size_t j) {
-        const Vec3 d = box.min_image(pos[i], pos[j]);
-        const double dist2 = d.norm2();
-        const double touch = radii[i] + radii[j];
-        const double reach = touch * reach_factor + extra_reach;
-        if (dist2 >= reach * reach || dist2 == 0.0) return;
-        Pair p;
-        p.i = i;
-        p.j = j;
-        p.distance = std::sqrt(dist2);
-        p.unit = (1.0 / p.distance) * d;
-        p.gap = p.distance - touch;
-        fn(p);
-      });
+  auto confirm = [&](std::size_t i, std::size_t j) {
+    const Vec3 d = box.min_image(pos[i], pos[j]);
+    const double dist2 = d.norm2();
+    const double touch = radii[i] + radii[j];
+    const double reach = touch * reach_factor + extra_reach;
+    if (dist2 >= reach * reach || dist2 == 0.0) return;
+    Pair p;
+    p.i = i;
+    p.j = j;
+    p.distance = std::sqrt(dist2);
+    p.unit = (1.0 / p.distance) * d;
+    p.gap = p.distance - touch;
+    fn(p);
+  };
+  if (cells_ == 1) {
+    for_each_candidate_in_reach(reach_factor, extra_reach, confirm);
+    const std::size_t n = system_->size();
+    return n < 2 ? 0 : n * (n - 1) / 2;
+  }
+  std::size_t examined = 0;
+  for_each_pair_impl(reach_factor, extra_reach,
+                     [&](std::size_t i, std::size_t j) {
+                       ++examined;
+                       confirm(i, j);
+                     });
+  return examined;
 }
 
 template <class Fn>

@@ -9,7 +9,9 @@
 
 #include "sd/cell_list.hpp"
 #include "sd/lubrication.hpp"
+#include "sd/pair_pattern.hpp"
 #include "sd/particle_system.hpp"
+#include "sd/vec3.hpp"
 #include "sparse/bcrs.hpp"
 
 namespace mrhs::sd {
@@ -32,6 +34,10 @@ struct AssemblyStats {
   /// Candidate pairs examined: neighbor pairs under the cell cutoff
   /// for a full assembly, pattern pairs for an incremental one.
   std::size_t pairs_in_cutoff = 0;
+  /// Candidate pairs the neighbour search tested to find those:
+  /// n(n-1)/2 when the box is too narrow for a cell grid (all-pairs
+  /// regime), 0 when the call reused the pattern without a search.
+  std::size_t pairs_examined = 0;
   std::size_t pairs_active = 0;      // pairs contributing lubrication
   double min_scaled_gap = 0.0;       // smallest xi encountered (clamped)
   /// Incremental accounting (sd::AssemblyEngine). A full rebuild
@@ -53,7 +59,7 @@ struct AssemblyStats {
 /// of pair projections, off-diagonal blocks the negated pair tensors.
 /// The result is symmetric positive definite by construction.
 ///
-/// The pair records, degree counters, and cursors persist across
+/// The pair records and the layout's per-row arrays persist across
 /// calls (SD assembles twice per time step). This class is an
 /// implementation detail of sd::AssemblyEngine — the engine is the
 /// only assembly entry point outside src/sd (lint-enforced).
@@ -67,18 +73,19 @@ class ResistanceAssembler {
       const ParticleSystem& system, AssemblyStats* stats = nullptr);
 
  private:
+  /// An active pair's geometry; its tensor is computed when the pair's
+  /// blocks are written (40 bytes a pair instead of 80 with the
+  /// tensor kept).
   struct PairRecord {
     std::int32_t i;
     std::int32_t j;
-    double tensor[9];
+    Vec3 unit;
+    double gap;
   };
 
   ResistanceParams params_;
   std::vector<PairRecord> pairs_;
-  std::vector<std::int64_t> cursor_;
-  std::vector<std::int32_t> scratch_cols_;
-  std::vector<std::int32_t> scratch_order_;
-  std::vector<double> scratch_vals_;
+  PairPattern pattern_;
 };
 
 }  // namespace mrhs::sd

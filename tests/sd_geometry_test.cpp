@@ -2,7 +2,9 @@
 // cell lists, particle system bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -175,6 +177,129 @@ TEST(CellList, PairGeometryConsistent) {
                                           system.positions()[p.j]);
     EXPECT_NEAR(d.x, p.unit.x * p.distance, 1e-9);
   });
+}
+
+// Scalar reference for CellList::for_each_interacting_pair: the plain
+// double loop over i < j with the activity test written out.
+bool within_reach(const sd::PeriodicBox& box, const Vec3& a, const Vec3& b,
+                  double touch, double reach_factor, double extra_reach,
+                  double* dist2_out = nullptr) {
+  const Vec3 d = box.min_image(a, b);
+  const double dist2 = d.norm2();
+  const double reach = touch * reach_factor + extra_reach;
+  if (dist2_out != nullptr) *dist2_out = dist2;
+  return dist2 < reach * reach;
+}
+
+std::vector<sd::Pair> reference_interacting_pairs(
+    const sd::ParticleSystem& system, double reach_factor,
+    double extra_reach) {
+  std::vector<sd::Pair> out;
+  const auto pos = system.positions();
+  const auto radii = system.radii();
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    for (std::size_t j = i + 1; j < system.size(); ++j) {
+      const double touch = radii[i] + radii[j];
+      double dist2 = 0.0;
+      if (!within_reach(system.box(), pos[i], pos[j], touch, reach_factor,
+                        extra_reach, &dist2) ||
+          dist2 == 0.0) {
+        continue;
+      }
+      const Vec3 d = system.box().min_image(pos[i], pos[j]);
+      sd::Pair p;
+      p.i = i;
+      p.j = j;
+      p.distance = std::sqrt(dist2);
+      p.unit = (1.0 / p.distance) * d;
+      p.gap = p.distance - touch;
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+TEST(CellList, AllPairsRegimeMatchesScalarReferenceBitwise) {
+  const double box_len = 14.0;
+  const double max_gap_scaled = 2.05;  // SdConfig's lubrication cutoff
+  const double reach_factor = 1.0 + 0.5 * max_gap_scaled;
+  const sd::PeriodicBox box(box_len);
+  for (const double extra_reach : {0.0, 0.4}) {
+    SCOPED_TRACE(extra_reach);
+    util::StreamRng rng(21);
+    std::vector<Vec3> pos;
+    std::vector<double> radii;
+    // More particles than the filter's 256-wide chunk of j.
+    for (std::size_t k = 0; k < 300; ++k) {
+      pos.push_back({rng.uniform(0, box_len), rng.uniform(0, box_len),
+                     rng.uniform(0, box_len)});
+      radii.push_back(rng.uniform(0.5, 3.14));
+    }
+    radii[0] = 3.14;  // the largest radius sets the cutoff
+
+    // Two pairs on either side of the reach: the last representable
+    // separation inside it and the first outside it.
+    const double ra = 1.0;
+    const double rb = 1.25;
+    const double touch = ra + rb;
+    auto inside = [&](double xa, double xb) {
+      return within_reach(box, {xa, 5.0, 5.0}, {xb, 5.0, 5.0}, touch,
+                          reach_factor, extra_reach);
+    };
+    const double xa = 1.0;
+    double xb = xa + touch * reach_factor + extra_reach;
+    while (inside(xa, xb)) xb = std::nextafter(xb, 100.0);
+    while (!inside(xa, xb)) xb = std::nextafter(xb, 0.0);
+    const std::size_t in_i = pos.size();
+    pos.push_back({xa, 5.0, 5.0});
+    pos.push_back({xb, 5.0, 5.0});
+    const std::size_t out_i = pos.size();
+    pos.push_back({xa, 5.0, 11.0});
+    pos.push_back({std::nextafter(xb, 100.0), 5.0, 11.0});
+    radii.insert(radii.end(), {ra, rb, ra, rb});
+    // A particle on a box face, one that will carry an unwrapped
+    // coordinate, and two coincident centres.
+    pos.push_back({0.0, 3.0, 9.0});
+    const std::size_t unwrapped_i = pos.size();
+    pos.push_back({13.5, 3.5, 9.5});
+    pos.push_back({7.0, 7.0, 7.0});
+    const std::size_t twin_i = pos.size();
+    pos.push_back({7.0, 7.0, 7.0});
+    radii.insert(radii.end(), {1.5, 1.0, 0.8, 0.9});
+
+    sd::ParticleSystem system(std::move(pos), std::move(radii), box);
+    // Set after construction, which wraps positions into the box:
+    // min_image's single shift cannot reduce this one.
+    system.positions()[unwrapped_i].x += 2.0 * box_len;
+
+    const double cutoff = 2.0 * 3.14 * reach_factor + extra_reach;
+    const sd::CellList cells(system, cutoff);
+    ASSERT_EQ(cells.cells_per_side(), 1u);
+    std::vector<sd::Pair> got;
+    const std::size_t examined = cells.for_each_interacting_pair(
+        max_gap_scaled, extra_reach,
+        [&](const sd::Pair& p) { got.push_back(p); });
+    const std::size_t n = system.size();
+    EXPECT_EQ(examined, n * (n - 1) / 2);
+
+    const auto expected =
+        reference_interacting_pairs(system, reach_factor, extra_reach);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.size() * sizeof(sd::Pair)),
+              0);
+
+    // The constructed cases are really exercised.
+    auto emitted = [&](std::size_t i, std::size_t j) {
+      return std::any_of(got.begin(), got.end(), [&](const sd::Pair& p) {
+        return p.i == i && p.j == j;
+      });
+    };
+    EXPECT_TRUE(emitted(in_i, in_i + 1));
+    EXPECT_FALSE(emitted(out_i, out_i + 1));
+    EXPECT_TRUE(emitted(unwrapped_i - 1, unwrapped_i));  // across the face
+    EXPECT_FALSE(emitted(twin_i - 1, twin_i));
+  }
 }
 
 TEST(CellList, InvalidCutoffThrows) {

@@ -2,12 +2,16 @@
 // assembly, effective viscosity, and the packer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
 #include "dense/matrix.hpp"
 #include "sd/assembly_engine.hpp"
+#include "sd/cell_list.hpp"
 #include "sd/effective_viscosity.hpp"
 #include "sd/lubrication.hpp"
 #include "sd/packing.hpp"
@@ -234,6 +238,174 @@ TEST(Resistance, RowSumsEqualFarFieldDrag) {
     for (int c = 0; c < 3; ++c) {
       EXPECT_NEAR(out[3 * i + c], drag, 1e-8 * drag);
     }
+  }
+}
+
+// The full assembler's layout before rows were laid out sorted: the
+// diagonal first in each row, pair blocks appended in emission order
+// (the diagonal accumulating in that order), then every row sorted by
+// column, blocks moved along.
+struct PreviousLayout {
+  std::vector<std::int64_t> row_ptr;
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+};
+
+PreviousLayout previous_layout_assembly(const sd::ParticleSystem& system,
+                                        const sd::ResistanceParams& params) {
+  const std::size_t n = system.size();
+  const auto radii = system.radii();
+  const double phi = system.volume_fraction();
+  const sd::CellList cells(
+      system,
+      sd::lubrication_cutoff_distance(system.max_radius(), params.lubrication));
+  struct Rec {
+    std::size_t i;
+    std::size_t j;
+    double t[9];
+  };
+  std::vector<Rec> recs;
+  cells.for_each_interacting_pair(
+      params.lubrication.max_gap_scaled, [&](const sd::Pair& p) {
+        if (!sd::lubrication_active(p.gap, radii[p.i], radii[p.j],
+                                    params.lubrication)) {
+          return;
+        }
+        Rec rec{p.i, p.j, {}};
+        sd::lubrication_pair_tensor(p.unit, radii[p.i], radii[p.j], p.gap,
+                                    params.lubrication,
+                                    std::span<double, 9>(rec.t));
+        recs.push_back(rec);
+      });
+
+  PreviousLayout out;
+  auto& row_ptr = out.row_ptr;
+  row_ptr.assign(n + 1, 0);
+  for (const Rec& rec : recs) {
+    ++row_ptr[rec.i + 1];
+    ++row_ptr[rec.j + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] += 1 + row_ptr[i];
+  const auto nnzb = static_cast<std::size_t>(row_ptr[n]);
+  out.col_idx.assign(nnzb, 0);
+  out.values.assign(9 * nnzb, 0.0);
+  std::vector<std::int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto slot = static_cast<std::size_t>(cursor[i]++);
+    out.col_idx[slot] = static_cast<std::int32_t>(i);
+    const double drag = sd::far_field_drag(radii[i], params.viscosity, phi);
+    out.values[9 * slot] = out.values[9 * slot + 4] =
+        out.values[9 * slot + 8] = drag;
+  }
+  for (const Rec& rec : recs) {
+    double* diag_i = &out.values[9 * static_cast<std::size_t>(row_ptr[rec.i])];
+    double* diag_j = &out.values[9 * static_cast<std::size_t>(row_ptr[rec.j])];
+    const auto slot_ij = static_cast<std::size_t>(cursor[rec.i]++);
+    const auto slot_ji = static_cast<std::size_t>(cursor[rec.j]++);
+    out.col_idx[slot_ij] = static_cast<std::int32_t>(rec.j);
+    out.col_idx[slot_ji] = static_cast<std::int32_t>(rec.i);
+    for (int k = 0; k < 9; ++k) {
+      diag_i[k] += rec.t[k];
+      diag_j[k] += rec.t[k];
+      out.values[9 * slot_ij + k] = -rec.t[k];
+      out.values[9 * slot_ji + k] = -rec.t[k];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto lo = static_cast<std::size_t>(row_ptr[i]);
+    const auto len = static_cast<std::size_t>(row_ptr[i + 1]) - lo;
+    std::vector<std::size_t> order(len);
+    for (std::size_t k = 0; k < len; ++k) order[k] = k;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return out.col_idx[lo + a] < out.col_idx[lo + b];
+    });
+    std::vector<std::int32_t> cols(len);
+    std::vector<double> vals(9 * len);
+    for (std::size_t k = 0; k < len; ++k) {
+      cols[k] = out.col_idx[lo + order[k]];
+      std::copy_n(&out.values[9 * (lo + order[k])], 9, &vals[9 * k]);
+    }
+    std::copy(cols.begin(), cols.end(), &out.col_idx[lo]);
+    std::copy(vals.begin(), vals.end(), &out.values[9 * lo]);
+  }
+  return out;
+}
+
+sd::ParticleSystem random_polydisperse_system(std::size_t n, double box_len,
+                                              double max_radius,
+                                              std::uint64_t seed) {
+  util::StreamRng rng(seed);
+  std::vector<Vec3> pos(n);
+  std::vector<double> radii(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos[i] = {rng.uniform(0, box_len), rng.uniform(0, box_len),
+              rng.uniform(0, box_len)};
+    radii[i] = rng.uniform(0.5, max_radius);
+  }
+  return {std::move(pos), std::move(radii), sd::PeriodicBox(box_len)};
+}
+
+TEST(Resistance, FullAssemblyMatchesPreviousLayoutBitwise) {
+  struct Case {
+    const char* regime;
+    sd::ParticleSystem system;
+    double max_gap_scaled;
+    bool one_cell;
+  };
+  const Case cases[] = {
+      // SdConfig's cutoff with the 3.14 largest radius: the box is
+      // narrower than 9/4 of the cutoff, all pairs in (i, j) order.
+      {"all pairs", random_polydisperse_system(200, 14.0, 3.14, 31), 2.05,
+       true},
+      // A short cutoff in a wide box: cell-list order, rows to sort.
+      {"cell list", random_polydisperse_system(400, 20.0, 1.5, 32), 0.5,
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.regime);
+    sd::ResistanceParams params;
+    params.lubrication.max_gap_scaled = c.max_gap_scaled;
+    const sd::CellList cells(
+        c.system, sd::lubrication_cutoff_distance(c.system.max_radius(),
+                                                  params.lubrication));
+    if (c.one_cell) {
+      ASSERT_EQ(cells.cells_per_side(), 1u);
+    } else {
+      ASSERT_GE(cells.cells_per_side(), 3u);
+      // Some row must really arrive out of column order.
+      std::vector<std::size_t> last_upper(c.system.size(), 0);
+      bool out_of_order = false;
+      cells.for_each_interacting_pair(
+          params.lubrication.max_gap_scaled, [&](const sd::Pair& p) {
+            out_of_order = out_of_order || p.j < last_upper[p.i];
+            last_upper[p.i] = p.j;
+          });
+      ASSERT_TRUE(out_of_order);
+    }
+
+    const auto expected = previous_layout_assembly(c.system, params);
+    const auto result = sd::AssemblyEngine(params).assemble_full(c.system);
+    const auto& r = result.matrix;
+    ASSERT_GT(result.stats.pairs_active, 0u);
+    const std::size_t n = c.system.size();
+    if (c.one_cell) {
+      EXPECT_EQ(result.stats.pairs_examined, n * (n - 1) / 2);
+    } else {
+      EXPECT_LT(result.stats.pairs_examined, n * (n - 1) / 2);
+      EXPECT_GE(result.stats.pairs_examined, result.stats.pairs_in_cutoff);
+    }
+    ASSERT_EQ(r.row_ptr().size(), expected.row_ptr.size());
+    ASSERT_EQ(r.col_idx().size(), expected.col_idx.size());
+    ASSERT_EQ(r.values().size(), expected.values.size());
+    EXPECT_EQ(std::memcmp(r.row_ptr().data(), expected.row_ptr.data(),
+                          expected.row_ptr.size() * sizeof(std::int64_t)),
+              0);
+    EXPECT_EQ(std::memcmp(r.col_idx().data(), expected.col_idx.data(),
+                          expected.col_idx.size() * sizeof(std::int32_t)),
+              0);
+    EXPECT_EQ(std::memcmp(r.values().data(), expected.values.data(),
+                          expected.values.size() * sizeof(double)),
+              0);
   }
 }
 
