@@ -107,7 +107,11 @@ int main(int argc, char** argv) {
 
     mrhs::solver::CgOptions opts;
     opts.tol = config.solver_tol;
-    (void)mrhs::solver::conjugate_gradient(op, f, u, opts);
+    const auto solve = mrhs::solver::conjugate_gradient(op, f, u, opts);
+    if (!mrhs::solver::solve_succeeded(solve.status)) {
+      std::fprintf(stderr, "warning: step %d: solve %s\n", step,
+                   mrhs::solver::to_string(solve.status));
+    }
     sim.system().advance(u, dt, sim.max_step_length());
 
     if ((step + 1) % 10 == 0) {

@@ -69,7 +69,11 @@ int main(int argc, char** argv) {
       // deterministic settling component persists between steps).
       solver::CgOptions opts;
       opts.tol = config.solver_tol;
-      (void)solver::conjugate_gradient(op, f, u, opts);
+      const auto solve = solver::conjugate_gradient(op, f, u, opts);
+      if (!solver::solve_succeeded(solve.status)) {
+        std::fprintf(stderr, "warning: step %d: solve %s\n", step,
+                     solver::to_string(solve.status));
+      }
 
       // Flux-weighted settling ratio: total settling flux over the
       // total dilute Stokes flux (v0_i ~ a_i^2), so big fast settlers

@@ -3,7 +3,7 @@
 
 Requires a quickstart binary with fault injection compiled in (Debug,
 a sanitizer preset, or -DMRHS_FAULTS=ON); registered as the
-`check_chaos` ctest only in such builds. Drives quickstart three ways
+`check_chaos` ctest only in such builds. Drives quickstart four ways
 and cross-validates:
 
   * baseline:  12 fault-free steps, final positions as hex floats;
@@ -15,6 +15,12 @@ and cross-validates:
     EXACTLY the baseline's — bitwise, not approximate: the rollback
     replays the counter-keyed noise stream, so a transient fault
     leaves no trace in the trajectory;
+  * persistent: --faults stepper.position.nan@5:sticky poisons every
+    step from the fifth on. The containment rule replays once, descends
+    the three degradation rungs, and gives up on the next strike, so
+    the run must exit 3 with exactly 4 rollbacks and 3 degradations at
+    the default --max-rollbacks 8, parked at a snapshot whose every
+    position is finite;
   * a schedule naming an unknown site must be refused with a nonzero
     exit and a diagnostic on stderr (a chaos run that silently arms
     nothing would pass vacuously).
@@ -23,6 +29,7 @@ Usage: check_chaos.py /path/to/quickstart
 Exit code 0 on success; prints the first failure otherwise.
 """
 
+import math
 import re
 import subprocess
 import sys
@@ -33,6 +40,7 @@ PARTICLES = "96"
 STEPS = "12"
 RHS = "4"
 FAULT = "stepper.position.nan@5"
+STICKY_FAULT = "stepper.position.nan@5:sticky"
 
 
 def fail(msg):
@@ -76,6 +84,7 @@ def main():
         tmp = Path(td)
         base_pos = tmp / "baseline.txt"
         chaos_pos = tmp / "chaos.txt"
+        sticky_pos = tmp / "sticky.txt"
 
         # Fault-free reference run.
         proc = run(binary, "--positions-out", str(base_pos))
@@ -105,6 +114,22 @@ def main():
                  f"first at index {i}:\n  baseline: {baseline[i]}\n"
                  f"  chaos:    {chaos[i]}")
 
+        # Persistent fault: no rung clears it, so the run gives up after
+        # one replay and three descents, parked at the last good state.
+        proc = run(binary, "--faults", STICKY_FAULT,
+                   "--positions-out", str(sticky_pos), expect_ok=False)
+        if proc.returncode != 3:
+            fail(f"persistent fault must give up with exit 3, got "
+                 f"{proc.returncode}:\n{proc.stdout}\n{proc.stderr}")
+        rollbacks, degradations, _ = resilience_counters(proc.stdout)
+        if (rollbacks, degradations) != (4, 3):
+            fail(f"persistent fault: expected 4 rollbacks and 3 "
+                 f"degradations, got {rollbacks} and {degradations}:\n"
+                 f"{proc.stdout}")
+        for i, line in enumerate(read_positions(sticky_pos)):
+            if not all(math.isfinite(float.fromhex(v)) for v in line.split()):
+                fail(f"parked position {i} is not finite: {line}")
+
         # Unknown sites are hard errors, never silently ignored.
         proc = run(binary, "--faults", "no.such.site@1", expect_ok=False)
         if proc.returncode == 0:
@@ -113,7 +138,8 @@ def main():
             fail(f"unknown site not diagnosed on stderr:\n{proc.stderr}")
 
     print("OK: chaos run rolled back once and reproduced the fault-free "
-          "trajectory bitwise; bad schedules rejected")
+          "trajectory bitwise; a persistent fault gave up after 4 "
+          "rollbacks and 3 degradations; bad schedules rejected")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ checks *semantic* invariants that need scope, capture, declaration, and
 statement structure: the properties that keep rollback/resume bitwise
 reproducible, parallel regions race-free, and error statuses propagated.
 
-Registered as the `mrhs_analyze` ctest target (repo scan against the
-committed baseline) and `mrhs_analyze_selftest` (fixture battery +
-regex-lint cross-check).
+Registered as the `mrhs_analyze` ctest target (scan of src/, bench/
+and examples/ against the committed baseline) and
+`mrhs_analyze_selftest` (fixture battery).
 
 Frontends
 ---------
@@ -60,9 +60,8 @@ status-propagation
     SolveStatus or a result struct carrying one (\\w*Result, \\w*Status)
     must be consumed, branched on, or forwarded. A bare expression
     statement — including a (void) cast — silently drops breakdown,
-    corruption, or I/O failure. Replaces the regex
-    `solve-status-discarded` rule, whose fixed four-name list this
-    generalizes to every declaration the frontend can see.
+    corruption, or I/O failure. Covers every declaration the frontend
+    can see, not a fixed list of solver entry points.
 
 obs-placement
     (a) The name argument of every OBS_* macro must be a string literal
@@ -76,9 +75,7 @@ obs-placement
 no-raw-omp
     `#pragma omp parallel` outside util/parallel.hpp bypasses the
     threading backend abstraction (the region would not run — or be
-    TSan-checked — on the std::thread backend). AST/token port of the
-    regex rule of the same intent; the regex version remains in
-    mrhs_lint as the fallback cross-check.
+    TSan-checked — on the std::thread backend).
 
 Suppressions
 ------------
@@ -1335,10 +1332,13 @@ def analyze_files(frontend: TokenFrontend, files: list[tuple[Path, str]],
     return active, suppressed
 
 
+SCAN_DIRS = ("src", "bench", "examples")
+
+
 def repo_files(repo: Path) -> list[tuple[Path, str]]:
-    root = repo / "src"
     return [(p, p.relative_to(repo).as_posix())
-            for p in sorted(root.rglob("*"))
+            for d in SCAN_DIRS
+            for p in sorted((repo / d).rglob("*"))
             if p.suffix in (".hpp", ".cpp", ".h")]
 
 
@@ -1400,7 +1400,7 @@ def print_rules() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Self-test (fixtures + regex-lint cross-check)
+# Self-test (fixture battery)
 # ---------------------------------------------------------------------------
 
 def parse_fixture_directives(text: str) -> tuple[str, dict[str, int]]:
@@ -1423,8 +1423,6 @@ def self_test(frontend: TokenFrontend, repo: Path) -> int:
               file=sys.stderr)
         return 2
     failures = 0
-    crosscheck_rules = {"status-propagation": "solve-status-discarded",
-                        "no-raw-omp": "no-raw-omp-parallel"}
     for path in fixtures:
         text = path.read_text()
         vpath, expects = parse_fixture_directives(text)
@@ -1442,34 +1440,6 @@ def self_test(frontend: TokenFrontend, repo: Path) -> int:
         if not ok:
             for f in active:
                 print(f"        {f.file}:{f.line}: [{f.rule}] {f.message}")
-    # Cross-check: the ported rules must agree line-for-line with their
-    # regex ancestors in mrhs_lint on the (non-generalized) fixtures.
-    sys.path.insert(0, str(Path(__file__).parent))
-    import mrhs_lint
-    print("  cross-check vs mrhs_lint regex rules:")
-    for path in fixtures:
-        name = path.name
-        if "_general" in name:
-            continue  # analyzer-only generalizations, no regex analogue
-        if not ("status_propagation" in name or "no_raw_omp" in name):
-            continue
-        text = path.read_text()
-        vpath, _ = parse_fixture_directives(text)
-        active, _ = analyze_files(frontend, [(path, vpath)], sorted(RULES))
-        linter = mrhs_lint.Linter(repo)
-        linter.check_solve_status_discarded(path, text)
-        linter.check_no_raw_omp(path, text.splitlines())
-        for ast_rule, regex_rule in crosscheck_rules.items():
-            ast_lines = sorted(f.line for f in active if f.rule == ast_rule)
-            regex_lines = sorted(line for _, line, rule, _ in linter.findings
-                                 if rule == regex_rule)
-            if ast_lines != regex_lines:
-                failures += 1
-                print(f"  FAIL {name}: {ast_rule} lines {ast_lines} != "
-                      f"{regex_rule} lines {regex_lines}")
-            else:
-                print(f"  PASS {name}: {ast_rule} == {regex_rule} "
-                      f"({len(ast_lines)} finding(s))")
     if failures:
         print(f"mrhs_analyze --self-test: {failures} failure(s)")
         return 1
@@ -1509,8 +1479,7 @@ def main() -> int:
     parser.add_argument("--show-suppressed", action="store_true")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the tests/analyze_fixtures battery and "
-                             "the regex-lint cross-check")
+                        help="run the tests/analyze_fixtures battery")
     args = parser.parse_args()
 
     if args.list_rules:

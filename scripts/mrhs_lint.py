@@ -6,23 +6,15 @@ a file:line report otherwise.
 
 Rules
 -----
-obs-literal-name
-    The OBS_* macros cache the resolved metric handle in a
-    function-local static keyed by *call site*, not by name. A
-    non-literal name therefore records every call under whatever name
-    the first execution happened to pass (the PR 2 footgun). First
-    argument of OBS_COUNTER_ADD / OBS_GAUGE_SET / OBS_HISTOGRAM_OBSERVE
-    / OBS_SPAN / OBS_INSTANT (second for OBS_SPAN_VAR) must be a string
-    literal.
-
-solve-status-discarded
-    Solver entry points return a result carrying SolveStatus; a call
-    whose result is discarded (expression statement) silently drops
-    breakdown/stagnation. Callers must bind and inspect the result.
+OBS_* literal names, discarded solver statuses and raw
+`#pragma omp parallel` are mrhs_analyze.py's obs-placement,
+status-propagation and no-raw-omp rules.
 
 solve-status-nodiscard
-    The declarations of those entry points (and their result structs)
-    must stay [[nodiscard]] so the compiler backs the rule above.
+    The declarations of the solver entry points (and their result
+    structs) must stay [[nodiscard]], so the compiler backs
+    mrhs_analyze's status-propagation rule: a discarded result carries
+    a SolveStatus that reports breakdown or stagnation.
 
 aligned-alloc-outside-util
     Raw std::aligned_alloc / posix_memalign / operator new with
@@ -42,12 +34,6 @@ no-float-in-double-kernels
     double-precision end to end; a stray `float` silently halves
     precision (the inverse of the paper's "no double accumulation in
     float kernels" rule — this codebase is the double side).
-
-no-raw-omp-parallel
-    `#pragma omp parallel` outside util/parallel.hpp bypasses the
-    threading backend abstraction; such a region would not run (or be
-    TSan-checked) on the std::thread backend. Use
-    util::parallel_regions / util::parallel_for.
 
 fault-site-registry
     The first argument of MRHS_FAULT_POINT / MRHS_FAULT_FIRED must be
@@ -91,23 +77,12 @@ import re
 import sys
 from pathlib import Path
 
-SOLVER_ENTRY_POINTS = [
-    "conjugate_gradient",
-    "preconditioned_conjugate_gradient",
-    "block_conjugate_gradient",
-    "block_solve_with_ladder",
-]
-
 NODISCARD_DECLS = {
     "src/solver/cg.hpp": ["CgResult conjugate_gradient",
                           "CgResult preconditioned_conjugate_gradient"],
     "src/solver/block_cg.hpp": ["BlockCgResult block_conjugate_gradient"],
     "src/solver/fault_tolerance.hpp": ["LadderResult block_solve_with_ladder"],
 }
-
-OBS_MACROS_ARG1 = ["OBS_COUNTER_ADD", "OBS_GAUGE_SET",
-                   "OBS_HISTOGRAM_OBSERVE", "OBS_SPAN", "OBS_INSTANT"]
-OBS_MACROS_ARG2 = ["OBS_SPAN_VAR"]
 
 FAULT_MACROS = ["MRHS_FAULT_POINT", "MRHS_FAULT_FIRED"]
 FAULT_SITE_HEADER = "src/util/fault_injection.hpp"
@@ -123,10 +98,6 @@ DOUBLE_KERNEL_DIRS = ("src/sparse", "src/solver", "src/dense")
 # scripts/mrhs_analyze.py --list-rules so the two tools read as one
 # lint surface.
 RULE_SUMMARIES = {
-    "obs-literal-name": "OBS_* macro names must be string literals "
-                        "(handle cached per call site)",
-    "solve-status-discarded": "regex fallback: solver entry-point result "
-                              "must not be a bare statement",
     "solve-status-nodiscard": "solver entry-point declarations stay "
                               "[[nodiscard]]",
     "aligned-alloc-outside-util": "raw aligned allocation only in "
@@ -135,8 +106,6 @@ RULE_SUMMARIES = {
                              "MRHS_ASSUME_ALIGNED contract in-file",
     "no-float-in-double-kernels": "no float in the double-precision "
                                   "numerical core",
-    "no-raw-omp-parallel": "regex fallback: no raw `#pragma omp parallel` "
-                           "outside util/parallel.hpp",
     "fault-site-registry": "MRHS_FAULT_* sites are literals from the "
                            "documented kFaultSites table",
     "bench-report": "every bench binary emits a BenchReport sidecar",
@@ -222,47 +191,6 @@ class Linter:
 
     # -- rules ---------------------------------------------------------
 
-    def check_obs_literal_names(self, path: Path, raw_lines: list[str]) -> None:
-        for lineno, line in enumerate(raw_lines, 1):
-            code = line.split("//")[0]
-            for macro in OBS_MACROS_ARG1 + OBS_MACROS_ARG2:
-                for m in re.finditer(rf"\b{macro}\s*\(", code):
-                    # Skip the macro definitions themselves.
-                    if "#define" in code:
-                        continue
-                    args = code[m.end():]
-                    if macro in OBS_MACROS_ARG2:
-                        # OBS_SPAN_VAR(var, "name"): skip the var name.
-                        comma = args.find(",")
-                        if comma == -1:
-                            continue
-                        args = args[comma + 1:]
-                    first = args.lstrip()
-                    if not first.startswith('"'):
-                        self.report(
-                            path, lineno, "obs-literal-name",
-                            f"{macro} name must be a string literal "
-                            f"(handle is cached per call site)")
-
-    def check_solve_status_discarded(self, path: Path, text: str) -> None:
-        stripped = strip_comments_and_strings(text)
-        for fn in SOLVER_ENTRY_POINTS:
-            for m in re.finditer(
-                    rf"(?m)^(\s*)((?:\w+::)*){fn}\s*\(", stripped):
-                # Only a genuine expression statement discards the
-                # result: the previous non-whitespace character must be
-                # `;`, `{`, or `}` (or start of file). A continuation
-                # line of `auto r = ...` / `return ...` has `=` or an
-                # identifier character there instead.
-                prev = stripped[:m.start()].rstrip()
-                if prev and prev[-1] not in ";{}":
-                    continue
-                lineno = stripped.count("\n", 0, m.start()) + 1
-                self.report(
-                    path, lineno, "solve-status-discarded",
-                    f"result of {fn}() is discarded; bind it and check "
-                    f"SolveStatus (solve_succeeded)")
-
     def check_nodiscard_decls(self) -> None:
         for rel, decls in NODISCARD_DECLS.items():
             path = self.repo / rel
@@ -322,18 +250,6 @@ class Linter:
                     path, lineno, "no-float-in-double-kernels",
                     "float in the double-precision numerical core; "
                     "use double (mixed precision silently loses bits)")
-
-    def check_no_raw_omp(self, path: Path, raw_lines: list[str]) -> None:
-        if path.name == "parallel.hpp":
-            return
-        for lineno, line in enumerate(raw_lines, 1):
-            if re.search(r"#\s*pragma\s+omp\s+parallel\b",
-                         line.split("//")[0]):
-                self.report(
-                    path, lineno, "no-raw-omp-parallel",
-                    "raw `#pragma omp parallel` bypasses util/parallel.hpp; "
-                    "use util::parallel_regions / util::parallel_for so the "
-                    "region runs (and is TSan-checked) on every backend")
 
     def check_fault_sites(self, path: Path, raw_lines: list[str]) -> None:
         if path.name.startswith("fault_injection."):
@@ -419,15 +335,9 @@ class Linter:
         for path in files:
             text = path.read_text()
             raw_lines = text.splitlines()
-            in_obs_header = path.match("*/obs/obs.hpp")
-            if not in_obs_header:
-                self.check_obs_literal_names(path, raw_lines)
-            if "tests/" not in str(path):  # tests may intentionally discard
-                self.check_solve_status_discarded(path, text)
             self.check_aligned_alloc(path, raw_lines)
             self.check_aligned_load_contract(path, text, raw_lines)
             self.check_no_float(path, raw_lines)
-            self.check_no_raw_omp(path, raw_lines)
             self.check_fault_sites(path, raw_lines)
             self.check_assembly_via_engine(path, raw_lines)
             self.check_kernel_via_dispatch(path, raw_lines)

@@ -93,16 +93,24 @@ class SdSimulation {
 
   /// The stateful assembly engine (pattern cache + dirty-pair
   /// tracker). Steppers call this directly; its state participates in
-  /// checkpoint/rollback via export_assembly_state()/
-  /// import_assembly_state().
+  /// checkpoint/rollback through State.
   [[nodiscard]] sd::AssemblyEngine& engine() { return *engine_; }
   [[nodiscard]] const sd::AssemblyEngine& engine() const { return *engine_; }
 
-  [[nodiscard]] sd::AssemblyEngineState export_assembly_state() const {
-    return engine_->export_state();
+  /// Trajectory state a rollback or resume restores as one unit: the
+  /// positions and the assembly engine's state. Restoring positions
+  /// alone would replay with refreshed lubrication blocks and diverge
+  /// bitwise whenever incremental assembly is enabled.
+  struct State {
+    sd::ParticleSystem::Snapshot system;
+    sd::AssemblyEngineState assembly;
+  };
+  [[nodiscard]] State export_state() const {
+    return {system_.snapshot(), engine_->export_state()};
   }
-  void import_assembly_state(const sd::AssemblyEngineState& state) {
-    engine_->import_state(state, system_);
+  void import_state(const State& state) {
+    system_.restore(state.system);
+    engine_->import_state(state.assembly, system_);
   }
 
   /// Standard normal noise vector for time step `step` (deterministic,

@@ -55,7 +55,7 @@ void full_step_from(sd::ParticleSystem& system,
 }
 
 /// Midpoint half-step, second solve seeded with u, full step from the
-/// step-start snapshot — the shared tail of every MRHS-family step.
+/// step-start snapshot — the shared tail of Algorithms 1 and 2.
 void midpoint_and_advance(SdSimulation& sim, RunStats& stats, StepRecord& rec,
                           const std::vector<double>& f,
                           const std::vector<double>& u) {
@@ -128,11 +128,9 @@ RunStats OriginalAlgorithm::run(std::size_t count) {
   RunStats stats;
   const SdConfig& config = sim_->config();
   const std::size_t n = sim_->dof();
-  const double dt = sim_->dt();
-  const double amplitude = std::sqrt(2.0 * config.kT / dt);
-  const double max_step = sim_->max_step_length();
+  const double amplitude = std::sqrt(2.0 * config.kT / sim_->dt());
 
-  std::vector<double> z(n), f(n), u(n), u_mid(n);
+  std::vector<double> z(n), f(n), u(n);
   util::WallTimer total;
 
   for (std::size_t local = 0; local < count; ++local, ++step_) {
@@ -177,27 +175,7 @@ RunStats OriginalAlgorithm::run(std::size_t count) {
     }
 
     // Midpoint configuration and second solve seeded with u_k.
-    const auto start = sim_->system().snapshot();
-    sim_->system().advance(u, 0.5 * dt, max_step);
-
-    sparse::BcrsMatrix r_mid;
-    {
-      util::ScopedPhase t(stats.timers, phase::kConstruct);
-      r_mid = sim_->engine().assemble_incremental(sim_->system()).matrix;
-    }
-    solver::BcrsOperator op_mid(r_mid, config.threads);
-    u_mid = u;
-    {
-      util::ScopedPhase t(stats.timers, phase::kSecondSolve);
-      const auto result = solver::conjugate_gradient(op_mid, f, u_mid,
-                                                     cg_options(config));
-      rec.iters_second_solve = result.iterations;
-      stats.solver_status =
-          solver::worse_status(stats.solver_status, result.status);
-    }
-
-    full_step_from(sim_->system(), start, u_mid, dt, max_step);
-    stats.steps.push_back(rec);
+    midpoint_and_advance(*sim_, stats, rec, f, u);
   }
   stats.seconds_total = total.seconds();
   return stats;

@@ -37,13 +37,11 @@ EnsembleRunner::EnsembleRunner(const core::SdConfig& base,
   mean_radius_ = base_sim.mean_radius();
   ref_matrix_ = base_sim.assemble().matrix;
   ref_op_.emplace(ref_matrix_, base_.threads);
-  ref_bounds_ = solver::lanczos_bounds(*ref_op_);
-  ref_cheb_.emplace(ref_bounds_, base_.chebyshev_order);
+  ref_cheb_.emplace(solver::lanczos_bounds(*ref_op_), base_.chebyshev_order);
 }
 
 std::uint64_t EnsembleRunner::add_member(const Scenario& scenario) {
-  Member m;
-  m.scenario = scenario;
+  Member m(scenario, options_.max_member_rollbacks);
   if (m.scenario.id == 0) {
     m.scenario.id = static_cast<std::uint64_t>(members_.size()) + 1;
   }
@@ -63,7 +61,7 @@ std::uint64_t EnsembleRunner::add_member(const Scenario& scenario) {
 
 void EnsembleRunner::begin_member_round(Member& m) {
   m.round_cols = std::min(options_.rhs, m.scenario.steps - m.step);
-  m.epoch_rollbacks = 0;
+  m.policy.begin_epoch();
   m.guesses_ok = false;
   sparse::BcrsMatrix r;
   {
@@ -81,37 +79,31 @@ void EnsembleRunner::begin_member_round(Member& m) {
   // Snapshot AFTER the calibration assembly: a rollback then replays
   // from post-calibration engine state, which is exactly the state the
   // first stepped assembly of the round saw — bitwise.
-  m.snap_system = m.sim->system().snapshot();
-  m.snap_assembly = m.sim->export_assembly_state();
+  m.snap = m.sim->export_state();
   m.snap_step = m.step;
 }
 
 bool EnsembleRunner::contain(Member& m, core::HealthCheck why) {
-  ++m.rollbacks;
-  ++m.epoch_rollbacks;
   ++m.stats.rollbacks;
   m.last_fault = why;
   OBS_COUNTER_ADD("ensemble.rollbacks", 1);
   // Member-only rollback: restore the round-start snapshot. Healthy
   // members are untouched — their state lives in their own sims.
-  m.sim->system().restore(m.snap_system);
-  m.sim->import_assembly_state(m.snap_assembly);
+  m.sim->import_state(m.snap);
   m.step = m.snap_step;
   m.monitor->rebase();
-  if (m.epoch_rollbacks >= 3 || m.rollbacks > options_.max_member_rollbacks) {
-    // Ladder exhausted: evict. The batch continues at K-1; the member
-    // is reported with its last good (round-start) state.
+  const core::ContainmentPolicy::Action action = m.policy.strike();
+  if (action == core::ContainmentPolicy::Action::kTerminal) {
+    // The batch continues at K-1; the member is reported with its last
+    // good (round-start) state.
     OBS_COUNTER_ADD("ensemble.evictions", 1);
     finalize(m, MemberState::kEvicted);
     return false;
   }
-  if (m.epoch_rollbacks == 2) {
-    // Second strike in one round: the corruption is not transient.
-    // Halve this member's dt before replaying; restored after its
-    // next fully clean round.
-    m.sim->set_dt(0.5 * m.sim->dt());
-    m.dt_degraded = true;
-    ++m.dt_halvings;
+  if (action == core::ContainmentPolicy::Action::kDescend) {
+    // The corruption is not transient: replay at half the step size
+    // until a fully clean round.
+    m.sim->set_dt(0.5 * dt0_);
     ++m.stats.degradations;
     OBS_COUNTER_ADD("ensemble.dt_halvings", 1);
   }
@@ -225,10 +217,9 @@ void EnsembleRunner::step_member(Member& m) {
     ++k;
   }
   if (m.state != MemberState::kActive) return;
-  if (m.dt_degraded && m.epoch_rollbacks == 0) {
-    // A fully clean round at degraded dt promotes the member back.
+  if (m.policy.epoch_strikes() == 0 && m.policy.clean()) {
+    // A fully clean round at halved dt promotes the member back.
     m.sim->set_dt(dt0_);
-    m.dt_degraded = false;
     ++m.stats.recovery_promotions;
     OBS_COUNTER_ADD("ensemble.dt_restorations", 1);
   }
@@ -342,8 +333,8 @@ std::vector<MemberReport> EnsembleRunner::run() {
     report.id = m.scenario.id;
     report.state = m.state;
     report.steps_done = m.step;
-    report.rollbacks = m.rollbacks;
-    report.dt_halvings = m.dt_halvings;
+    report.rollbacks = m.stats.rollbacks;
+    report.dt_halvings = m.stats.degradations;
     report.last_fault = m.last_fault;
     report.msd = m.sim->system().mean_squared_displacement();
     const auto positions = m.sim->system().positions();

@@ -29,11 +29,11 @@
 //   * Containment: a corrupt health verdict (or a non-finite packed
 //     RHS caught by the pack-stage firewall before it can reach the
 //     shared kernel) rolls back and replays only that member from its
-//     round-start snapshot — bitwise for transient faults. Repeated
-//     corruption in the same round climbs a bounded ladder:
-//     replay -> halve the member's dt -> evict. Eviction retires the
-//     member and the pack shrinks to K-1 columns' worth next round;
-//     healthy members never stall or re-run.
+//     round-start snapshot — bitwise for transient faults. Rounds are
+//     the epochs of the member's core::ContainmentPolicy, whose one
+//     rung halves the member's dt and whose terminal action evicts.
+//     The pack then shrinks to K-1 columns' worth next round; healthy
+//     members never stall or re-run.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +42,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/containment.hpp"
 #include "core/health.hpp"
 #include "core/sd_simulation.hpp"
 #include "core/stepper.hpp"
@@ -87,8 +88,8 @@ struct EnsembleOptions {
   /// m: guess columns per member per round (the member-local MRHS
   /// chunk width; the packed block is m summed over active members).
   std::size_t rhs = 8;
-  /// Lifetime rollback budget per member; exhausting it evicts even
-  /// when individual rounds stay under the epoch ladder.
+  /// Lifetime rollback budget per member; the next strike evicts even
+  /// when no round reaches the bottom of the ladder.
   std::size_t max_member_rollbacks = 6;
   core::HealthConfig health{};
 };
@@ -155,30 +156,26 @@ class EnsembleRunner {
   /// Rounds whose pack width shrank because a member left the
   /// ensemble (eviction, completion, timeout).
   [[nodiscard]] std::size_t repacks() const { return repacks_; }
-  [[nodiscard]] const solver::EigBounds& reference_bounds() const {
-    return ref_bounds_;
-  }
 
  private:
   struct Member {
+    Member(const Scenario& s, std::size_t budget)
+        : scenario(s), policy(1, budget, 1) {}
     Scenario scenario;
     std::optional<core::SdSimulation> sim;
     std::optional<core::StepHealthMonitor> monitor;
     MemberState state = MemberState::kActive;
-    std::size_t step = 0;
-    std::size_t rollbacks = 0;
-    std::size_t dt_halvings = 0;
-    std::size_t epoch_rollbacks = 0;
-    bool dt_degraded = false;
+    /// Rung 1 halves the member's dt; epochs and clean units are rounds.
+    core::ContainmentPolicy policy;
     core::HealthCheck last_fault = core::HealthCheck::kNone;
+    std::size_t step = 0;
     core::RunStats stats;
     // Round-scoped state.
     std::size_t round_cols = 0;
     bool guesses_ok = false;
     solver::EigBounds round_bounds{};
     sparse::MultiVector guesses;
-    sd::ParticleSystem::Snapshot snap_system;
-    sd::AssemblyEngineState snap_assembly;
+    core::SdSimulation::State snap;
     std::size_t snap_step = 0;
   };
 
@@ -199,9 +196,9 @@ class EnsembleRunner {
   /// Step the member through its round columns with health checking
   /// and the containment ladder.
   void step_member(Member& m);
-  /// One containment event: roll back to the round-start snapshot and
-  /// escalate (replay -> halve dt -> evict). Returns false when the
-  /// member was evicted.
+  /// One strike: roll back to the round-start snapshot, then replay,
+  /// replay at halved dt, or evict as the policy decides. Returns
+  /// false when the member was evicted.
   bool contain(Member& m, core::HealthCheck why);
   void finalize(Member& m, MemberState state);
 
@@ -216,7 +213,6 @@ class EnsembleRunner {
   /// lifetime so it is invariant to ensemble membership.
   sparse::BcrsMatrix ref_matrix_;
   std::optional<solver::BcrsOperator> ref_op_;
-  solver::EigBounds ref_bounds_{};
   std::optional<solver::ChebyshevSqrt> ref_cheb_;
 
   std::vector<Member> members_;

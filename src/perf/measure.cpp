@@ -3,6 +3,7 @@
 #include "sparse/gspmv.hpp"
 #include "sparse/multivector.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace mrhs::perf {
@@ -20,16 +21,29 @@ double measure_gspmv_seconds(const sparse::BcrsMatrix& a, std::size_t m,
 std::vector<RelativeTimePoint> measure_relative_time(
     const sparse::BcrsMatrix& a, std::span<const std::size_t> m_values,
     int threads, double min_seconds) {
-  const double base = measure_gspmv_seconds(a, 1, threads, min_seconds);
+  // The m = 1 baseline is timed before the first m > 1 timing and
+  // again after each one (at least three times); the median sets every
+  // ratio, so one slow window on a shared host cannot.
+  const auto time_base = [&] {
+    return measure_gspmv_seconds(a, 1, threads, min_seconds);
+  };
+  std::vector<double> base_samples{time_base()};
   std::vector<RelativeTimePoint> out;
   out.reserve(m_values.size());
   for (std::size_t m : m_values) {
     RelativeTimePoint pt;
     pt.m = m;
-    pt.seconds =
-        m == 1 ? base : measure_gspmv_seconds(a, m, threads, min_seconds);
-    pt.relative = pt.seconds / base;
+    if (m != 1) {
+      pt.seconds = measure_gspmv_seconds(a, m, threads, min_seconds);
+      base_samples.push_back(time_base());
+    }
     out.push_back(pt);
+  }
+  while (base_samples.size() < 3) base_samples.push_back(time_base());
+  const double base = util::median(base_samples);
+  for (RelativeTimePoint& pt : out) {
+    if (pt.m == 1) pt.seconds = base;
+    pt.relative = pt.seconds / base;
   }
   return out;
 }

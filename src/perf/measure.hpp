@@ -22,7 +22,9 @@ struct RelativeTimePoint {
 };
 
 /// Measure r(m) for each m in `m_values` (m = 1 is measured as the
-/// baseline whether or not it appears in the list).
+/// baseline whether or not it appears in the list). The baseline is
+/// the median of at least three m = 1 timings interleaved with the
+/// m > 1 timings.
 [[nodiscard]] std::vector<RelativeTimePoint> measure_relative_time(
     const sparse::BcrsMatrix& a, std::span<const std::size_t> m_values,
     int threads = 0, double min_seconds = 0.05);

@@ -91,13 +91,12 @@ void record_rung(LadderRung rung) {
   OBS_INSTANT("ladder.escalate");
 }
 
-/// Per-column (P)CG sweep over the not-yet-converged columns. Adds the
+/// Per-column CG sweep over the not-yet-converged columns. Adds the
 /// worst single-column iteration count to `result.iterations` and
 /// returns true when every column met `tol`.
 bool per_column_sweep(const LinearOperator& a, const sparse::MultiVector& b,
-                      sparse::MultiVector& x, const Preconditioner* precond,
-                      const SolveControls& controls, double tol,
-                      LadderResult& result) {
+                      sparse::MultiVector& x, const SolveControls& controls,
+                      double tol, LadderResult& result) {
   const std::size_t n = b.rows();
   const std::size_t m = b.cols();
   std::vector<double> bj(n), xj(n);
@@ -110,10 +109,7 @@ bool per_column_sweep(const LinearOperator& a, const sparse::MultiVector& b,
     if (result.relative_residuals[j] <= tol) continue;
     b.copy_col_out(j, bj);
     x.copy_col_out(j, xj);
-    const CgResult cr =
-        precond != nullptr
-            ? preconditioned_conjugate_gradient(a, *precond, bj, xj, cg_opts)
-            : conjugate_gradient(a, bj, xj, cg_opts);
+    const CgResult cr = conjugate_gradient(a, bj, xj, cg_opts);
     worst_iters = std::max(worst_iters, cr.iterations);
     if (cr.converged()) {
       x.copy_col_in(j, xj);
@@ -143,8 +139,7 @@ bool per_column_sweep(const LinearOperator& a, const sparse::MultiVector& b,
 LadderResult block_solve_with_ladder(const LinearOperator& a,
                                      const sparse::MultiVector& b,
                                      sparse::MultiVector& x,
-                                     const LadderOptions& opts,
-                                     const Preconditioner* precond) {
+                                     const LadderOptions& opts) {
   if (b.rows() != a.size() || x.rows() != b.rows() || x.cols() != b.cols()) {
     throw std::invalid_argument("block_solve_with_ladder: shape mismatch");
   }
@@ -194,7 +189,7 @@ LadderResult block_solve_with_ladder(const LinearOperator& a,
     OBS_COUNTER_ADD("ladder.scrubbed_columns", scrubbed);
   }
   BlockCgOptions restart_opts = block_opts;
-  restart_opts.breakdown_ridge *= opts.restart_ridge_boost;
+  restart_opts.breakdown_ridge *= kRestartRidgeBoost;
   BlockCgResult second = block_conjugate_gradient(a, b, x, restart_opts);
   result.iterations += second.iterations;
   result.breakdown_repairs += second.breakdown_repairs;
@@ -204,7 +199,7 @@ LadderResult block_solve_with_ladder(const LinearOperator& a,
   }
 
   // Rung 2: abandon the shared Krylov space; each remaining column gets
-  // its own (preconditioned) CG at the original tolerance.
+  // its own CG at the original tolerance.
   record_rung(LadderRung::kPerColumnCg);
   scrub_nonfinite(x, initial_guess);
   result.relative_residuals = true_residuals(a, b, x);
@@ -212,8 +207,7 @@ LadderResult block_solve_with_ladder(const LinearOperator& a,
     // The block iterate was already good; only the bookkeeping broke.
     return finish(SolveStatus::kRecovered, LadderRung::kPerColumnCg);
   }
-  if (per_column_sweep(a, b, x, precond, opts.controls, opts.controls.tol,
-                       result)) {
+  if (per_column_sweep(a, b, x, opts.controls, opts.controls.tol, result)) {
     return finish(SolveStatus::kRecovered, LadderRung::kPerColumnCg);
   }
 
@@ -222,8 +216,7 @@ LadderResult block_solve_with_ladder(const LinearOperator& a,
   record_rung(LadderRung::kRelaxedCg);
   scrub_nonfinite(x, initial_guess);
   const double relaxed_tol = opts.controls.tol * opts.relaxed_tol_factor;
-  if (per_column_sweep(a, b, x, /*precond=*/nullptr, opts.controls,
-                       relaxed_tol, result)) {
+  if (per_column_sweep(a, b, x, opts.controls, relaxed_tol, result)) {
     return finish(SolveStatus::kRecovered, LadderRung::kRelaxedCg);
   }
 

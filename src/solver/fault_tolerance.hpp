@@ -12,7 +12,7 @@
 //           the near-dependent directions that break the Gram factor —
 //           scrub non-finite entries, boost the breakdown ridge, and
 //           rebuild the Krylov space from the fresh residual)
-//   rung 2  per-column (P)CG              (abandon the shared space)
+//   rung 2  per-column CG                 (abandon the shared space)
 //   rung 3  per-column CG, relaxed tol    (accept a coarser guess)
 //
 // Every rung emits OBS_* events so the metrics layer records which
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "solver/operator.hpp"
-#include "solver/preconditioner.hpp"
 #include "solver/solve_controls.hpp"
 #include "sparse/multivector.hpp"
 
@@ -48,10 +47,11 @@ enum class LadderRung : std::uint8_t {
   return "unknown";
 }
 
+/// Ridge multiplier applied on the block-restart rung.
+inline constexpr double kRestartRidgeBoost = 1e4;
+
 struct LadderOptions {
   SolveControls controls;
-  /// Ridge multiplier applied on the block-restart rung.
-  double restart_ridge_boost = 1e4;
   /// Tolerance multiplier for the last rung.
   double relaxed_tol_factor = 100.0;
 };
@@ -72,12 +72,10 @@ struct LadderResult {
 /// Solve A X = B with graceful degradation. X carries initial guesses
 /// in; on every exit path X holds the best available finite iterate
 /// (non-finite columns are reset to the initial guess, or zero if the
-/// guess itself was poisoned). `precond` upgrades the per-column rung
-/// to PCG when provided.
+/// guess itself was poisoned).
 [[nodiscard]] LadderResult block_solve_with_ladder(
     const LinearOperator& a, const sparse::MultiVector& b,
-    sparse::MultiVector& x, const LadderOptions& opts = {},
-    const Preconditioner* precond = nullptr);
+    sparse::MultiVector& x, const LadderOptions& opts = {});
 
 /// Test-only operator wrapper that injects deterministic faults into a
 /// healthy LinearOperator, so every ladder rung can be exercised on

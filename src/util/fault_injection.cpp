@@ -162,7 +162,9 @@ bool FaultRegistry::fire(std::string_view site) {
       StreamRng rng(spec.seed, hit);
       match = rng.uniform() < spec.probability;
     } else {
-      match = hit == spec.at_hit;
+      // From the scheduled hit on, until the fire budget is spent:
+      // once by default, N times with `:xN`, every hit when sticky.
+      match = hit >= spec.at_hit;
     }
     if (match) {
       ++s.spent[i];

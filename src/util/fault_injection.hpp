@@ -10,13 +10,14 @@
 //                                     call site (truncate a write,
 //                                     teleport a particle, ...)
 //
-// Arming is schedule-based and fully deterministic: a fault fires on a
-// specific hit count of its site (`site@k`, the k-th time execution
-// reaches the site, 0-based) or per-hit with a counter-keyed
+// Arming is schedule-based and fully deterministic: a fault fires from
+// a specific hit count of its site on (`site@k`, the k-th time
+// execution reaches the site, 0-based) or per-hit with a counter-keyed
 // probability (`site@p=0.05`), where the decision RNG is StreamRng
 // keyed by (seed, hit index) — the same chaos run reproduces
 // bit-for-bit from its seed. Fires are bounded (`:xN`, default once)
-// unless made sticky (`:sticky`).
+// unless made sticky (`:sticky`): `site@k:sticky` fires on every hit
+// from k on, `site@k:x3` on hits k, k+1 and k+2.
 //
 // Zero overhead when disabled: with MRHS_FAULTS 0 (any build with
 // NDEBUG unless -DMRHS_FAULTS=ON; mirrors MRHS_CONTRACTS), the macros
@@ -103,8 +104,8 @@ inline constexpr std::string_view kFaultSites[] = {
 /// One armed fault: where and when to fire.
 struct FaultSpec {
   std::string site;
-  /// Fire on this hit index (0-based) of the site; ignored when
-  /// `probability` >= 0.
+  /// First hit index (0-based) of the site to fire on; later hits fire
+  /// too until `max_fires` is spent. Ignored when `probability` >= 0.
   std::uint64_t at_hit = 0;
   /// When >= 0: fire each hit with this probability, decided by a
   /// StreamRng keyed on (seed, hit index) — deterministic per seed.
@@ -116,7 +117,7 @@ struct FaultSpec {
 
 /// Parse a comma-separated fault schedule:
 ///
-///   <site>@<hit>[:sticky|:xN][,...]      fire at the given hit index
+///   <site>@<hit>[:sticky|:xN][,...]      fire from the given hit index
 ///   <site>@p=<prob>[:sticky|:xN][,...]   fire per hit with probability
 ///
 /// e.g. "stepper.position.nan@9,cluster.halo.corrupt@p=0.1:sticky".

@@ -13,7 +13,6 @@
 #include "core/sd_simulation.hpp"
 #include "core/status.hpp"
 #include "core/stepper.hpp"
-#include "solver/reusable_preconditioner.hpp"
 #include "sparse/bcrs.hpp"
 
 namespace {
@@ -282,30 +281,6 @@ TEST(CheckpointFormat, StatusMessagesAreDescriptive) {
 }
 
 // --- auxiliary solver-state round trips --------------------------------
-
-TEST(CheckpointState, ReusablePreconditionerStateRoundTrips) {
-  const auto a = sparse::make_random_bcrs(20, 6.0, 3);
-  solver::ReusablePreconditioner pre(1.5);
-  (void)pre.get(a);
-  pre.report(10);  // baseline
-  pre.report(12);  // within budget
-  const auto state = pre.export_state();
-  EXPECT_TRUE(state.have_baseline);
-  EXPECT_EQ(state.baseline_iterations, 10u);
-  EXPECT_EQ(state.rebuilds, 1u);
-
-  solver::ReusablePreconditioner restored;
-  restored.import_state(state);
-  // Restoring schedules one rebuild (the factor is not serialized)...
-  EXPECT_TRUE(restored.rebuild_pending());
-  (void)restored.get(a);
-  EXPECT_EQ(restored.rebuilds(), 2u);
-  // ...and the degradation policy picks up where it left off.
-  restored.report(11);
-  EXPECT_FALSE(restored.rebuild_pending());
-  restored.report(100);
-  EXPECT_TRUE(restored.rebuild_pending());
-}
 
 TEST(CheckpointState, CholeskyAlgorithmStateCarriesCursor) {
   const auto config = small_config(30, 21);

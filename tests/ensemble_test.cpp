@@ -212,6 +212,50 @@ TEST(EnsembleRunnerTest, PersistentCorruptionEvictsAndRepacks) {
   EXPECT_GE(runner.repacks(), 1u);
 }
 
+// Two strikes on `step` per listed step: the first replays, the second
+// descends (or, with no rung left, evicts).
+std::vector<ensemble::MemberReport> run_with_double_strikes(
+    std::vector<std::size_t> strike_steps) {
+  ensemble::EnsembleRunner runner(small_config(), small_options());
+  ensemble::Scenario a;
+  a.noise_seed = 7;
+  a.steps = 9;
+  const std::uint64_t victim = runner.add_member(a);
+  std::vector<int> hits(a.steps, 0);
+  runner.set_post_step_hook([&, victim](std::uint64_t id, std::size_t step,
+                                        sd::ParticleSystem& system) {
+    const bool listed = std::find(strike_steps.begin(), strike_steps.end(),
+                                  step) != strike_steps.end();
+    if (id == victim && listed && hits[step]++ < 2) {
+      system.positions()[0].x = std::numeric_limits<double>::quiet_NaN();
+    }
+  });
+  return runner.run();
+}
+
+// Round 0 ends at halved dt; a second strike in round 1 finds no lower
+// rung and evicts instead of halving dt again.
+TEST(EnsembleRunnerTest, SecondStrikeAtHalvedDtInLaterRoundEvicts) {
+  const auto reports = run_with_double_strikes({0, 3});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].state, ensemble::MemberState::kEvicted);
+  EXPECT_EQ(reports[0].rollbacks, 4u);
+  EXPECT_EQ(reports[0].dt_halvings, 1u);
+  EXPECT_EQ(reports[0].steps_done, 3u);
+  EXPECT_EQ(reports[0].last_fault, core::HealthCheck::kNonFinite);
+}
+
+// A fully clean round at halved dt restores the member's dt.
+TEST(EnsembleRunnerTest, CleanRoundRestoresHalvedDt) {
+  const auto reports = run_with_double_strikes({0, 6});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].state, ensemble::MemberState::kCompleted);
+  EXPECT_EQ(reports[0].rollbacks, 4u);
+  EXPECT_EQ(reports[0].dt_halvings, 2u);
+  EXPECT_EQ(reports[0].stats.recovery_promotions, 1u);
+  EXPECT_EQ(reports[0].steps_done, 9u);
+}
+
 TEST(EnsembleRunnerTest, DeadlineHookRetiresMember) {
   ensemble::EnsembleRunner runner(small_config(), small_options());
   ensemble::Scenario slow;

@@ -1,8 +1,7 @@
-// Tests for the extension modules: projection (recycling-lite)
-// guesses, the distributed LinearOperator, and XYZ trajectory I/O.
+// Tests for the extension modules: the distributed LinearOperator,
+// the RPY mobility, MSD analysis and Brownian dynamics.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "cluster/distributed_operator.hpp"
@@ -13,10 +12,8 @@
 #include "sd/analysis.hpp"
 #include "sd/mobility_operator.hpp"
 #include "sd/rpy.hpp"
-#include "sd/xyz_io.hpp"
 #include "solver/block_cg.hpp"
 #include "solver/cg.hpp"
-#include "solver/projection_guess.hpp"
 #include "sparse/bcrs.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -24,105 +21,6 @@
 namespace {
 
 using namespace mrhs;
-
-TEST(ProjectionGuess, ExactWhenSolutionInWindow) {
-  const auto a = sparse::make_random_bcrs(30, 6.0, 3);
-  solver::BcrsOperator op(a, 1);
-  util::StreamRng rng(1);
-  std::vector<double> x_true(op.size()), b(op.size());
-  rng.fill_normal(x_true);
-  op.apply(x_true, b);
-
-  solver::ProjectionGuess guess(4);
-  // Window contains the solution plus distractors.
-  std::vector<double> distractor(op.size());
-  rng.fill_normal(distractor);
-  guess.observe(distractor);
-  guess.observe(x_true);
-
-  std::vector<double> x0(op.size());
-  ASSERT_TRUE(guess.make_guess(op, b, x0));
-  // The Galerkin minimizer over a subspace containing x_true is x_true.
-  EXPECT_LT(util::diff_norm2(x0, x_true), 1e-8 * util::norm2(x_true));
-}
-
-TEST(ProjectionGuess, EmptyWindowReturnsFalse) {
-  const auto a = sparse::make_random_bcrs(10, 3.0, 5);
-  solver::BcrsOperator op(a, 1);
-  solver::ProjectionGuess guess;
-  std::vector<double> b(op.size(), 1.0), x0(op.size(), 7.0);
-  EXPECT_FALSE(guess.make_guess(op, b, x0));
-  for (double v : x0) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(ProjectionGuess, WindowEvictsOldEntries) {
-  solver::ProjectionGuess guess(2);
-  const std::vector<double> v(6, 1.0);
-  guess.observe(v);
-  guess.observe(v);
-  guess.observe(v);
-  EXPECT_EQ(guess.window_size(), 2u);
-  EXPECT_EQ(guess.capacity(), 2u);
-  guess.clear();
-  EXPECT_EQ(guess.window_size(), 0u);
-}
-
-TEST(ProjectionGuess, SurvivesDuplicateWindowVectors) {
-  // Identical entries make U^T A U singular; the ridge path must still
-  // return a usable guess.
-  const auto a = sparse::make_random_bcrs(20, 4.0, 7);
-  solver::BcrsOperator op(a, 1);
-  util::StreamRng rng(9);
-  std::vector<double> u(op.size());
-  rng.fill_normal(u);
-  solver::ProjectionGuess guess(3);
-  guess.observe(u);
-  guess.observe(u);
-  guess.observe(u);
-  std::vector<double> b(op.size()), x0(op.size());
-  rng.fill_normal(b);
-  EXPECT_TRUE(guess.make_guess(op, b, x0));
-  EXPECT_TRUE(std::isfinite(util::norm2(x0)));
-}
-
-TEST(ProjectionGuess, ReducesIterationsOnSlowlyVaryingSequence) {
-  // A sequence of systems A_k = A + eps_k I with the same b: the guess
-  // built from previous solutions nearly solves the next system.
-  const auto a = sparse::make_random_bcrs(60, 8.0, 11, true, 0.3);
-  util::StreamRng rng(13);
-  std::vector<double> b(a.rows());
-  rng.fill_normal(b);
-
-  solver::ProjectionGuess guess(4);
-  std::size_t iters_cold_total = 0, iters_warm_total = 0;
-  for (int k = 0; k < 5; ++k) {
-    auto ak = a;
-    // Slow perturbation of the values.
-    for (double& v : ak.values()) v *= 1.0 + 1e-3 * (k + 1);
-    solver::BcrsOperator op(ak, 1);
-
-    std::vector<double> x_cold(op.size(), 0.0);
-    const auto cold = solver::conjugate_gradient(op, b, x_cold);
-    iters_cold_total += cold.iterations;
-
-    std::vector<double> x_warm(op.size(), 0.0);
-    guess.make_guess(op, b, x_warm);
-    const auto warm = solver::conjugate_gradient(op, b, x_warm);
-    iters_warm_total += warm.iterations;
-
-    guess.observe(x_cold);
-  }
-  // The first solve has no window; after that the guesses nearly
-  // eliminate the iterations.
-  EXPECT_LT(iters_warm_total, iters_cold_total / 2);
-}
-
-TEST(ProjectionGuess, DimensionMismatchThrows) {
-  solver::ProjectionGuess guess;
-  guess.observe(std::vector<double>(6, 1.0));
-  EXPECT_THROW(guess.observe(std::vector<double>(9, 1.0)),
-               std::invalid_argument);
-}
 
 TEST(DistributedOperator, CgMatchesSingleNodeSolve) {
   core::SdConfig config;
@@ -241,32 +139,6 @@ TEST(BrownianDynamics, MissesLubricationBraking) {
   const double msd_bd = sim_bd.system().mean_squared_displacement();
   const double msd_sd = sim_sd.system().mean_squared_displacement();
   EXPECT_GT(msd_bd, 1.5 * msd_sd);
-}
-
-TEST(XyzIo, FrameRoundTrip) {
-  std::vector<sd::Vec3> pos = {{1.5, 2.5, 3.5}, {4.0, 5.0, 6.0}};
-  std::vector<double> radii = {0.8, 1.2};
-  const sd::ParticleSystem system(std::move(pos), std::move(radii),
-                                  sd::PeriodicBox(10.0));
-  std::stringstream stream;
-  sd::write_xyz_frame(stream, system, "step=3");
-  sd::write_xyz_frame(stream, system);
-
-  const auto frames = sd::read_xyz(stream);
-  ASSERT_EQ(frames.size(), 2u);
-  ASSERT_EQ(frames[0].positions.size(), 2u);
-  EXPECT_DOUBLE_EQ(frames[0].box_length, 10.0);
-  EXPECT_NE(frames[0].comment.find("step=3"), std::string::npos);
-  EXPECT_NEAR(frames[0].positions[0].x, 1.5, 1e-10);
-  EXPECT_NEAR(frames[0].positions[1].z, 6.0, 1e-10);
-  EXPECT_NEAR(frames[0].radii[1], 1.2, 1e-10);
-}
-
-TEST(XyzIo, MalformedInputThrows) {
-  std::stringstream garbage("not-a-count\nwhatever\n");
-  EXPECT_THROW((void)sd::read_xyz(garbage), std::runtime_error);
-  std::stringstream truncated("3\ncomment\nP 1 2 3 0.5\n");
-  EXPECT_THROW((void)sd::read_xyz(truncated), std::runtime_error);
 }
 
 }  // namespace

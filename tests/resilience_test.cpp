@@ -1,6 +1,7 @@
 // Tests for the step-level resilience stack: fault-spec parsing, the
-// chaos registry, the physics health monitor, the rollback/degradation
-// runner, halo-corruption handling, and checkpoint truncation.
+// chaos registry, the physics health monitor, the containment policy,
+// the rollback/degradation runner, halo-corruption handling, and
+// checkpoint truncation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "cluster/distributed_operator.hpp"
 #include "cluster/partitioner.hpp"
 #include "core/checkpoint.hpp"
+#include "core/containment.hpp"
 #include "core/health.hpp"
 #include "core/resilience.hpp"
 #include "core/stepper.hpp"
@@ -227,6 +229,73 @@ TEST(HealthMonitor, GuessDivergenceVerdicts) {
 }
 
 // ---------------------------------------------------------------------
+// ContainmentPolicy decision table (no simulation involved).
+
+using Action = core::ContainmentPolicy::Action;
+
+TEST(ContainmentPolicy, StrikeDecisionTable) {
+  struct Row {
+    const char* what;
+    std::size_t rungs, budget;
+    std::vector<int> epochs;  // strikes per epoch, in order
+    std::vector<Action> expect;
+    std::size_t level;
+  };
+  const std::vector<Row> table = {
+      {"first strike replays", 3, 8, {1}, {Action::kReplay}, 0},
+      {"further strikes descend", 3, 8, {3},
+       {Action::kReplay, Action::kDescend, Action::kDescend}, 2},
+      {"a new epoch replays first", 3, 8, {2, 1},
+       {Action::kReplay, Action::kDescend, Action::kReplay}, 1},
+      {"terminal below the bottom rung", 1, 8, {3},
+       {Action::kReplay, Action::kDescend, Action::kTerminal}, 1},
+      {"bottom rung from an earlier epoch", 1, 8, {2, 2},
+       {Action::kReplay, Action::kDescend, Action::kReplay,
+        Action::kTerminal}, 1},
+      {"terminal past the budget", 3, 2, {1, 1, 1},
+       {Action::kReplay, Action::kReplay, Action::kTerminal}, 0},
+      {"zero budget", 3, 0, {1}, {Action::kTerminal}, 0},
+  };
+  for (const Row& row : table) {
+    core::ContainmentPolicy policy(row.rungs, row.budget, 4);
+    std::vector<Action> got;
+    for (const int strikes : row.epochs) {
+      policy.begin_epoch();
+      for (int k = 0; k < strikes; ++k) got.push_back(policy.strike());
+    }
+    EXPECT_EQ(got, row.expect) << row.what;
+    EXPECT_EQ(policy.level(), row.level) << row.what;
+    EXPECT_EQ(policy.terminal(), got.back() == Action::kTerminal) << row.what;
+  }
+}
+
+TEST(ContainmentPolicy, PromotesAfterCleanStreak) {
+  core::ContainmentPolicy policy(3, 8, 3);
+  EXPECT_FALSE(policy.clean());  // nothing to promote at full service
+  ASSERT_EQ(policy.strike(), Action::kReplay);
+  ASSERT_EQ(policy.strike(), Action::kDescend);
+  ASSERT_EQ(policy.strike(), Action::kDescend);
+  ASSERT_EQ(policy.level(), 2u);
+  EXPECT_FALSE(policy.clean());
+  EXPECT_FALSE(policy.clean());
+  EXPECT_TRUE(policy.clean());  // third clean unit climbs one rung
+  EXPECT_EQ(policy.level(), 1u);
+  // The streak restarts after a promotion, after a held unit, and
+  // after a strike.
+  EXPECT_FALSE(policy.clean());
+  policy.hold();
+  EXPECT_FALSE(policy.clean());
+  EXPECT_FALSE(policy.clean());
+  policy.begin_epoch();
+  ASSERT_EQ(policy.strike(), Action::kReplay);
+  EXPECT_FALSE(policy.clean());
+  EXPECT_FALSE(policy.clean());
+  EXPECT_TRUE(policy.clean());
+  EXPECT_EQ(policy.level(), 0u);
+  EXPECT_EQ(policy.epoch_strikes(), 1u);
+}
+
+// ---------------------------------------------------------------------
 // ResilientRunner policy (compiled in every build: the post-step hook
 // models corruption without any fault-injection machinery).
 
@@ -333,6 +402,27 @@ TEST(ResilientRunner, PersistentCorruptionExhaustsBudgetAndParks) {
   EXPECT_TRUE(more.steps.empty());
 }
 
+TEST(ResilientRunner, StrikeBelowShrunkDtGivesUp) {
+  core::SdSimulation sim(small_config());
+  core::MrhsAlgorithm alg(sim, {.rhs = 4});
+  core::ResilientRunner runner(sim, alg);  // default budget: 8
+  runner.set_post_step_hook([&](std::size_t) {
+    sim.system().positions()[0].x = std::numeric_limits<double>::quiet_NaN();
+  });
+  const auto stats = runner.run(16);
+
+  // Replay, three descents to kShrunkDt, then no rung is left: the
+  // fifth strike gives up with half the budget unspent.
+  EXPECT_TRUE(stats.resilience_gave_up);
+  EXPECT_EQ(stats.rollbacks, 4u);
+  EXPECT_EQ(stats.degradations, 3u);
+  EXPECT_EQ(runner.level(), core::DegradationLevel::kShrunkDt);
+  for (const auto& p : sim.system().positions()) {
+    EXPECT_TRUE(std::isfinite(p.x) && std::isfinite(p.y) &&
+                std::isfinite(p.z));
+  }
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint carry-over of the resilience counters.
 
@@ -404,6 +494,25 @@ TEST_F(FaultRegistryTest, FiresExactlyOnScheduledHit) {
   EXPECT_EQ(registry.fires("gspmv.apply.nan"), 1u);
   // Unarmed sites never fire but are legal to hit.
   EXPECT_FALSE(registry.fire("cluster.halo.corrupt"));
+}
+
+TEST_F(FaultRegistryTest, HitScheduleFiresFromItsHitUntilBudgetSpent) {
+  auto& registry = util::FaultRegistry::instance();
+  std::vector<util::FaultSpec> specs;
+  ASSERT_TRUE(util::parse_fault_specs(
+                  "gspmv.apply.nan@2:x2,cluster.halo.corrupt@1:sticky", 0,
+                  specs)
+                  .is_ok());
+  for (const auto& s : specs) ASSERT_TRUE(registry.arm(s).is_ok());
+  std::vector<bool> counted, sticky;
+  for (int i = 0; i < 6; ++i) {
+    counted.push_back(registry.fire("gspmv.apply.nan"));
+    sticky.push_back(registry.fire("cluster.halo.corrupt"));
+  }
+  EXPECT_EQ(counted, (std::vector<bool>{false, false, true, true, false,
+                                        false}));
+  EXPECT_EQ(sticky, (std::vector<bool>{false, true, true, true, true,
+                                       true}));
 }
 
 TEST_F(FaultRegistryTest, RejectsUnknownSiteAndBadSpecs) {
