@@ -30,6 +30,8 @@
 #include "core/sd_simulation.hpp"
 #include "core/status.hpp"
 #include "core/stepper.hpp"
+#include "obs/obs.hpp"
+#include "sparse/gspmv.hpp"
 #include "util/cli.hpp"
 #include "util/fault_injection.hpp"
 
@@ -268,6 +270,29 @@ int main(int argc, char** argv) {
                 static_cast<double>(engine.pairs_examined_total()) / searches,
                 static_cast<double>(engine.pairs_in_cutoff_total()) / searches,
                 static_cast<std::size_t>(engine.pattern_rebuilds()));
+  }
+  // Which single-vector SPMV kernel the step operators ran (DESIGN.md
+  // §6). With metrics on, the gspmv counters say; otherwise probe a
+  // fresh assembly of the final configuration, which with metrics off
+  // emits nothing.
+  if (obs::metrics_enabled()) {
+    const auto counters = obs::MetricsRegistry::instance().snapshot().counters;
+    const auto count = [&counters](const char* name) {
+      const auto it = counters.find(name);
+      return it == counters.end() ? 0.0 : it->second;
+    };
+    std::printf("spmv kernel: symmetric-block %.0f, general %.0f "
+                "single-vector applies\n",
+                count("gspmv.spmv_symmetric_applies"),
+                count("gspmv.spmv_general_applies"));
+  } else {
+    sd::AssemblyEngine probe(engine.params(), {.tolerance = engine.tolerance(),
+                                               .skin = engine.skin()});
+    const auto r = probe.assemble_incremental(sim->system()).matrix;
+    const sparse::GspmvEngine spmv(r, 1);
+    std::printf("spmv kernel: %s (stored blocks bitwise symmetric: %s)\n",
+                spmv.symmetric_spmv() ? "symmetric-block" : "general",
+                spmv.symmetric_blocks() ? "yes" : "no");
   }
   std::printf("\nphase breakdown (s/step):\n");
   for (const auto& name : stats.timers.names()) {

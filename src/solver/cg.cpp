@@ -98,12 +98,14 @@ CgResult conjugate_gradient(const LinearOperator& a, std::span<const double> b,
       break;
     }
     const double alpha = rr / pq;
+    // r·r accumulates in the update pass, in the same i order as a
+    // separate pass would, so the bits do not change.
+    double rr_new = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       x[i] += alpha * p[i];
       r[i] -= alpha * q[i];
+      rr_new += r[i] * r[i];
     }
-    double rr_new = 0.0;
-    for (double v : r) rr_new += v * v;
     result.iterations = it + 1;
     res_norm = std::sqrt(rr_new);
     if (!std::isfinite(res_norm)) {

@@ -1,6 +1,8 @@
 #include "sparse/gspmv.hpp"
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -48,17 +50,30 @@ const kernels::KernelVariant* resolve_variant(GspmvKernel kernel,
 }
 
 /// Run one range of block rows through a resolved variant (nullptr =
-/// inline reference loop).
+/// inline reference loop). `symmetric` (m = 1 only) selects the
+/// symmetric-block SPMV; the caller has checked the matrix's blocks.
 void run_rows(const BcrsMatrix& a, const double* x, double* y, std::size_t m,
-              RowRange range, const kernels::KernelVariant* variant) {
+              RowRange range, const kernels::KernelVariant* variant,
+              bool symmetric = false) {
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const double* values = a.values().data();
 
   if (m == 1) {
-    // Every ISA (forced or auto) shares this one specialized SPMV
-    // instance: a --kernel override cannot perturb single-vector
-    // results, and the m = 1 path keeps its pre-dispatch code exactly.
+    // Single-vector products bypass the dispatch table, so a --kernel
+    // override cannot perturb them. The symmetric-block kernel and the
+    // portable loop give the same bits (simd_kernels.hpp); the loop
+    // stays as spmv_reference and for matrices with asymmetric blocks.
+#if MRHS_HAVE_SYMMETRIC_SPMV
+    if (symmetric) {
+      kernels::block_rows_spmv_symmetric(values, col_idx.data(),
+                                         row_ptr.data(), range.begin,
+                                         range.end, x, y);
+      return;
+    }
+#else
+    (void)symmetric;
+#endif
     for (std::size_t bi = range.begin; bi < range.end; ++bi) {
       kernels::block_row_spmv(values, col_idx.data(), row_ptr[bi],
                               row_ptr[bi + 1], x, y + bi * 3);
@@ -120,9 +135,28 @@ void gspmv_colmajor(const BcrsMatrix& a, const double* x, double* y,
   }
 }
 
-GspmvEngine::GspmvEngine(const BcrsMatrix& a, int threads) : a_(&a) {
+bool blocks_bitwise_symmetric(const BcrsMatrix& a) {
+  const double* values = a.values().data();
+  for (std::size_t p = 0; p < a.nnzb(); ++p) {
+    const double* blk = values + p * kBlockSize;
+    const auto bits = [blk](int k) {
+      return std::bit_cast<std::uint64_t>(blk[k]);
+    };
+    if (bits(1) != bits(3) || bits(2) != bits(6) || bits(5) != bits(7)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+GspmvEngine::GspmvEngine(const BcrsMatrix& a, int threads)
+    : a_(&a), symmetric_blocks_(blocks_bitwise_symmetric(a)) {
   threads_ = threads > 0 ? threads : util::max_threads();
   parts_ = balanced_row_partition(a, static_cast<std::size_t>(threads_));
+}
+
+bool GspmvEngine::symmetric_kernel_compiled() {
+  return MRHS_HAVE_SYMMETRIC_SPMV != 0;
 }
 
 void GspmvEngine::apply(const MultiVector& x, MultiVector& y,
@@ -153,15 +187,17 @@ void GspmvEngine::apply(const MultiVector& x, MultiVector& y,
       m == 1 ? nullptr : resolve_variant(kernel, m);
   const Clock::time_point t0 = metrics ? Clock::now() : Clock::time_point{};
 
+  const bool symmetric = symmetric_spmv();
   if (threads_ == 1) {
-    run_rows(*a_, xp, yp, m, RowRange{0, a_->block_rows()}, variant);
+    run_rows(*a_, xp, yp, m, RowRange{0, a_->block_rows()}, variant,
+             symmetric);
   } else {
     // Workers write disjoint block-row ranges of y (parts_ is a
     // partition), so the region body is race-free by construction;
     // thread_safety_test pins this down under TSan.
     util::parallel_regions(threads_, [&](int tid) {
       if (tid < static_cast<int>(parts_.size())) {
-        run_rows(*a_, xp, yp, m, parts_[tid], variant);
+        run_rows(*a_, xp, yp, m, parts_[tid], variant, symmetric);
       }
     });
   }
@@ -189,14 +225,15 @@ void GspmvEngine::apply(std::span<const double> x, std::span<double> y) const {
   const bool metrics = obs::metrics_enabled();
   const Clock::time_point t0 = metrics ? Clock::now() : Clock::time_point{};
 
+  const bool symmetric = symmetric_spmv();
   if (threads_ == 1) {
     run_rows(*a_, x.data(), y.data(), 1, RowRange{0, a_->block_rows()},
-             /*variant=*/nullptr);
+             /*variant=*/nullptr, symmetric);
   } else {
     util::parallel_regions(threads_, [&](int tid) {
       if (tid < static_cast<int>(parts_.size())) {
         run_rows(*a_, x.data(), y.data(), 1, parts_[tid],
-                 /*variant=*/nullptr);
+                 /*variant=*/nullptr, symmetric);
       }
     });
   }
@@ -215,6 +252,15 @@ void GspmvEngine::record_metrics(std::size_t m, double seconds,
   OBS_COUNTER_ADD("gspmv.bytes", bytes);
   OBS_COUNTER_ADD("gspmv.flops", flops(m));
   OBS_COUNTER_ADD("gspmv.seconds", seconds);
+  if (m == 1) {
+    // Which single-vector kernel ran: an assembler whose blocks stop
+    // being bitwise symmetric shows up as general applies.
+    if (symmetric_spmv()) {
+      OBS_COUNTER_ADD("gspmv.spmv_symmetric_applies", 1);
+    } else {
+      OBS_COUNTER_ADD("gspmv.spmv_general_applies", 1);
+    }
+  }
   if (seconds > 0.0) {
     // Effective bandwidth of this apply against the paper's minimum
     // traffic Mtr (eq. 8): how close the kernel runs to the roofline.

@@ -41,8 +41,17 @@ void spmv_reference(const BcrsMatrix& a, std::span<const double> x,
 void gspmv_colmajor(const BcrsMatrix& a, const double* x, double* y,
                     std::size_t m);
 
+/// True when every stored block of `a` is symmetric as bit patterns
+/// (a[1] = a[3], a[2] = a[6], a[5] = a[7]): -0.0 against +0.0, or two
+/// NaNs with different payloads, count as asymmetric.
+[[nodiscard]] bool blocks_bitwise_symmetric(const BcrsMatrix& a);
+
 /// Reusable GSPMV executor. Construction precomputes an nnz-balanced
-/// assignment of block rows to threads (the paper's "thread blocking").
+/// assignment of block rows to threads (the paper's "thread blocking")
+/// and decides, once, whether single-vector applies may take the
+/// symmetric-block kernel (blocks_bitwise_symmetric). The engine reads
+/// the matrix it was built on: neither its pattern nor its values may
+/// change while the engine is in use.
 class GspmvEngine {
  public:
   /// threads == 0 means use omp_get_max_threads().
@@ -58,6 +67,18 @@ class GspmvEngine {
   [[nodiscard]] const BcrsMatrix& matrix() const { return *a_; }
   [[nodiscard]] int threads() const { return threads_; }
 
+  /// Every stored block is bitwise symmetric (decided at construction).
+  [[nodiscard]] bool symmetric_blocks() const { return symmetric_blocks_; }
+  /// Single-vector applies (m = 1, both overloads) run the
+  /// symmetric-block kernel: symmetric_blocks() in a build that
+  /// compiles it. Either kernel gives the same bits.
+  [[nodiscard]] bool symmetric_spmv() const {
+    return symmetric_blocks_ && symmetric_kernel_compiled();
+  }
+  /// Whether this build compiles the symmetric-block kernel (its
+  /// gspmv.cpp targets AVX2 and FMA).
+  [[nodiscard]] static bool symmetric_kernel_compiled();
+
   /// Flops performed by one apply() with m vectors.
   [[nodiscard]] double flops(std::size_t m) const {
     return 18.0 * static_cast<double>(a_->nnzb()) * static_cast<double>(m);
@@ -72,13 +93,15 @@ class GspmvEngine {
   /// Feed the gspmv.* counters, the effective-bandwidth gauge, and the
   /// dispatched-ISA attribution after one timed apply (only called when
   /// metrics are enabled; variant == nullptr for the m = 1 / reference
-  /// paths, which bypass the dispatch table).
+  /// paths, which bypass the dispatch table). m = 1 applies also count
+  /// by kernel: gspmv.spmv_symmetric_applies / spmv_general_applies.
   void record_metrics(std::size_t m, double seconds,
                       const kernels::KernelVariant* variant) const;
 
   const BcrsMatrix* a_;
   int threads_;
   std::vector<RowRange> parts_;
+  bool symmetric_blocks_ = false;
 };
 
 }  // namespace mrhs::sparse

@@ -8,6 +8,7 @@
 // row stay in L1 while the matrix streams through once.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -63,7 +64,15 @@ static inline void block_row_generic(const double* __restrict values,
   }
 }
 
-/// Scalar m == 1 specialization (classic SPMV with 3x3 blocks).
+/// Portable single-vector SPMV of one block row (m == 1): spmv_reference,
+/// and what engines run on matrices with an asymmetric block. On an FMA
+/// target each row computes
+///   t = fma(a_r2, x2, fma(a_r0, x0, a_r1 * x1)),  y_r += t
+/// with explicit std::fma: the chain GCC's default contraction makes of
+/// the plain expression at -O2 and above, written out so that it holds
+/// at every optimisation level and with any compiler, and so that
+/// block_rows_spmv_symmetric can reproduce it. Without FMA the
+/// multiplies and adds round separately.
 static inline void block_row_spmv(const double* __restrict values,
                            const std::int32_t* __restrict col_idx,
                            std::int64_t begin, std::int64_t end,
@@ -74,14 +83,104 @@ static inline void block_row_spmv(const double* __restrict values,
     const double* __restrict blk = values + static_cast<std::size_t>(p) * 9;
     const double* __restrict xb = x + static_cast<std::size_t>(col_idx[p]) * 3;
     const double x0 = xb[0], x1 = xb[1], x2 = xb[2];
+#if defined(__FMA__)
+    y0 += std::fma(blk[2], x2, std::fma(blk[0], x0, blk[1] * x1));
+    y1 += std::fma(blk[5], x2, std::fma(blk[3], x0, blk[4] * x1));
+    y2 += std::fma(blk[8], x2, std::fma(blk[6], x0, blk[7] * x1));
+#else
     y0 += blk[0] * x0 + blk[1] * x1 + blk[2] * x2;
     y1 += blk[3] * x0 + blk[4] * x1 + blk[5] * x2;
     y2 += blk[6] * x0 + blk[7] * x1 + blk[8] * x2;
+#endif
   }
   y_row[0] = y0;
   y_row[1] = y1;
   y_row[2] = y2;
 }
+
+// The symmetric-block SPMV needs AVX2 and FMA (MRHS_HAVE_AVX2_KERNELS):
+// builds without them keep the portable loop for every matrix.
+#define MRHS_HAVE_SYMMETRIC_SPMV MRHS_HAVE_AVX2_KERNELS
+
+#if MRHS_HAVE_SYMMETRIC_SPMV
+
+/// The three doubles at p in lanes 0..2 of a ymm register, lane 3
+/// zero; nothing past p[2] is read.
+static inline __m256d load3_pd(const double* p) {
+#if defined(__AVX512VL__)
+  return _mm256_maskz_loadu_pd(0x7, p);
+#else
+  return _mm256_maskload_pd(p, _mm256_setr_epi64x(-1, -1, -1, 0));
+#endif
+}
+
+/// Store lanes 0..2 of v to p[0..2].
+static inline void store3_pd(double* p, __m256d v) {
+#if defined(__AVX512VL__)
+  _mm256_mask_storeu_pd(p, 0x7, v);
+#else
+  _mm256_maskstore_pd(p, _mm256_setr_epi64x(-1, -1, -1, 0), v);
+#endif
+}
+
+/// acc += (stored block p) * x_col, the block's three rows in lanes
+/// 0..2. A bitwise-symmetric block's rows are its columns, so the
+/// three contiguous row loads serve as column vectors and no shuffle
+/// is needed; lane r computes block_row_spmv's chain for row r.
+static inline __m256d symmetric_block_fma(
+    const double* __restrict values, const std::int32_t* __restrict col_idx,
+    std::int64_t p, const double* __restrict x, __m256d acc) {
+  const double* blk = values + static_cast<std::size_t>(p) * 9;
+  const double* xb = x + static_cast<std::size_t>(col_idx[p]) * 3;
+  __m256d t = _mm256_mul_pd(load3_pd(blk + 3), _mm256_broadcast_sd(xb + 1));
+  t = _mm256_fmadd_pd(load3_pd(blk), _mm256_broadcast_sd(xb), t);
+  t = _mm256_fmadd_pd(load3_pd(blk + 6), _mm256_broadcast_sd(xb + 2), t);
+  return _mm256_add_pd(acc, t);
+}
+
+/// y = A x over block rows [row_begin, row_end) for a matrix whose
+/// every stored block is bitwise symmetric (a[1] = a[3], a[2] = a[6],
+/// a[5] = a[7] as bit patterns). Bitwise equal to block_row_spmv row
+/// by row: each row accumulates its blocks in storage order with the
+/// same chain. Two block rows are interleaved so their dependent add
+/// chains overlap; the longer row finishes alone.
+static inline void block_rows_spmv_symmetric(
+    const double* __restrict values, const std::int32_t* __restrict col_idx,
+    const std::int64_t* __restrict row_ptr, std::size_t row_begin,
+    std::size_t row_end, const double* __restrict x,
+    double* __restrict y /* 3 doubles per block row */) {
+  std::size_t bi = row_begin;
+  for (; bi + 1 < row_end; bi += 2) {
+    std::int64_t p0 = row_ptr[bi];
+    std::int64_t p1 = row_ptr[bi + 1];
+    const std::int64_t e0 = p1;
+    const std::int64_t e1 = row_ptr[bi + 2];
+    const std::int64_t both = std::min(e0 - p0, e1 - p1);
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    for (std::int64_t k = 0; k < both; ++k) {
+      acc0 = symmetric_block_fma(values, col_idx, p0 + k, x, acc0);
+      acc1 = symmetric_block_fma(values, col_idx, p1 + k, x, acc1);
+    }
+    for (p0 += both; p0 < e0; ++p0) {
+      acc0 = symmetric_block_fma(values, col_idx, p0, x, acc0);
+    }
+    for (p1 += both; p1 < e1; ++p1) {
+      acc1 = symmetric_block_fma(values, col_idx, p1, x, acc1);
+    }
+    store3_pd(y + bi * 3, acc0);
+    store3_pd(y + bi * 3 + 3, acc1);
+  }
+  if (bi < row_end) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::int64_t p = row_ptr[bi]; p < row_ptr[bi + 1]; ++p) {
+      acc = symmetric_block_fma(values, col_idx, p, x, acc);
+    }
+    store3_pd(y + bi * 3, acc);
+  }
+}
+
+#endif  // MRHS_HAVE_SYMMETRIC_SPMV
 
 #if MRHS_HAVE_AVX2_KERNELS
 
